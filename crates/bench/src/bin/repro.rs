@@ -11,7 +11,7 @@ use sassi_studies::report;
 const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|ablation-stub|ablation-spill|hotloop|all]
   --jobs N     worker threads per sweep (default: SASSI_JOBS or available parallelism)
   fig10 runs   injections per workload (positive integer, default 150)
-  hotloop      decoded (serial + CTA-parallel) vs reference comparison -> results/timings/sim_hot_loop.json";
+  hotloop      decoded interpreter timing (serial, CTA-parallel, instrumented) -> results/timings/sim_hot_loop.json";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("repro: {msg}");
@@ -245,11 +245,10 @@ fn ablation_stub(jobs: usize) {
 }
 
 fn hotloop(jobs: usize) {
-    // Not part of `all`: it deliberately re-runs workloads on the slow
-    // reference interpreter, and `all`'s wall time is itself a tracked
-    // perf artifact.
+    // Not part of `all`: it re-runs workloads purely for timing, and
+    // `all`'s wall time is itself a tracked perf artifact.
     let report = hotloop_cmp::compare(jobs);
-    println!("Hot-loop comparison: pre-decoded µop interpreter vs reference (seed) semantics");
+    println!("Hot-loop comparison: decoded interpreter, serial vs CTA-parallel vs instrumented");
     println!(
         "  workloads: {} | jobs={} | {} warp instrs ({} thread instrs)",
         report.workloads.join(", "),
@@ -259,9 +258,7 @@ fn hotloop(jobs: usize) {
     );
     for (label, run) in [
         ("decoded", &report.decoded),
-        ("single-step", &report.single_step),
         ("parallel", &report.parallel),
-        ("reference", &report.reference),
         ("instrumented", &report.instrumented),
     ] {
         println!(
@@ -269,11 +266,6 @@ fn hotloop(jobs: usize) {
             run.busy_s, run.wall_s, run.instrs_per_s
         );
     }
-    println!("  speedup: {:.2}x (busy-time ratio)", report.speedup);
-    println!(
-        "  block speedup: {:.2}x (single-step wall / block-stepped wall)",
-        report.block_speedup
-    );
     println!(
         "  parallel speedup: {:.2}x (decoded serial wall / CTA-parallel wall, {} shard workers)",
         report.parallel_speedup, report.jobs

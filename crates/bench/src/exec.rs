@@ -21,6 +21,7 @@ use parking_lot::Mutex;
 use sassi_workloads::{by_name, Workload};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -161,6 +162,13 @@ impl WorkloadCache {
 /// worker thread; `run` computes one unit. Results are slotted by unit
 /// index, so the output order — and, given order-independent units,
 /// the output bytes — do not depend on `jobs` or scheduling.
+///
+/// # Panics
+///
+/// A panicking unit does not stop the sweep: its worker rebuilds its
+/// state and goes on with the next unit. Once every unit has run,
+/// `run_units` panics once, naming each failed unit's index and
+/// message.
 pub fn run_units<U, T, S, I, F>(jobs: usize, units: &[U], init: I, run: F) -> (Vec<T>, Timing)
 where
     U: Sync,
@@ -173,6 +181,7 @@ where
     let busy_ns = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = units.iter().map(|_| Mutex::new(None)).collect();
+    let failed: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -184,13 +193,36 @@ where
                         break;
                     }
                     let t = Instant::now();
-                    let out = run(&mut state, &units[i], i);
+                    let out = catch_unwind(AssertUnwindSafe(|| run(&mut state, &units[i], i)));
                     busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    *slots[i].lock() = Some(out);
+                    match out {
+                        Ok(out) => *slots[i].lock() = Some(out),
+                        Err(payload) => {
+                            failed.lock().push((i, panic_message(payload.as_ref())));
+                            // The unit may have left the state half
+                            // updated; later units get a fresh one.
+                            state = init();
+                        }
+                    }
                 }
             });
         }
     });
+
+    let mut failed = failed.into_inner();
+    if !failed.is_empty() {
+        failed.sort();
+        let list: Vec<String> = failed
+            .iter()
+            .map(|(i, msg)| format!("unit {i}: {msg}"))
+            .collect();
+        panic!(
+            "{} of {} units panicked: {}",
+            failed.len(),
+            units.len(),
+            list.join("; ")
+        );
+    }
 
     let results = slots
         .into_iter()
@@ -203,6 +235,18 @@ where
         busy_s: busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
     };
     (results, timing)
+}
+
+/// The text of a panic payload (`panic!` with a literal or with a
+/// formatted message), or a placeholder for other payload types.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
 }
 
 #[cfg(test)]
@@ -312,5 +356,34 @@ mod tests {
             },
         );
         assert_eq!(out, units);
+    }
+
+    #[test]
+    fn a_panicking_unit_does_not_stop_the_others() {
+        for jobs in [1, 2] {
+            let units: Vec<usize> = (0..6).collect();
+            let ran = Mutex::new(Vec::new());
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                run_units(
+                    jobs,
+                    &units,
+                    || (),
+                    |(), &u, _| {
+                        assert!(u != 2, "unit two is broken");
+                        ran.lock().push(u);
+                        u
+                    },
+                )
+            }))
+            .expect_err("a failed unit must fail the sweep");
+            let mut ran = ran.into_inner();
+            ran.sort();
+            assert_eq!(ran, [0, 1, 3, 4, 5], "jobs={jobs}");
+            let msg = panic_message(err.as_ref());
+            assert!(
+                msg.contains("1 of 6 units panicked: unit 2: unit two is broken"),
+                "jobs={jobs}: {msg}"
+            );
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! The hot-loop comparison behind `repro hotloop`: the same workload
-//! set executed by the pre-decoded µop interpreter (serially and with
-//! CTA-parallel launches) and by the reference (seed-semantics)
-//! interpreter, with per-instruction-class issue counters from the
-//! decoded run — the where-do-cycles-go artifact future perf PRs diff
-//! against (`results/timings/sim_hot_loop.json`).
+//! set executed by the pre-decoded µop interpreter serially, with
+//! CTA-parallel launches and under the branch study, with
+//! per-instruction-class issue counters from the serial run — the
+//! where-do-cycles-go artifact future perf PRs diff against
+//! (`results/timings/sim_hot_loop.json`).
 
 use crate::exec::{run_units, WorkloadCache};
 use parking_lot::Mutex;
 use sassi_rt::{ModuleBuilder, Runtime};
-use sassi_sim::{ExecMode, IssueCounters, NoHandlers};
+use sassi_sim::{IssueCounters, NoHandlers};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -49,19 +49,11 @@ pub struct HotLoopReport {
     /// sweep executes the workloads one at a time (no outer workers),
     /// so wall times compare like for like.
     pub jobs: usize,
-    /// The pre-decoded µop interpreter, serial launches
-    /// (`ExecMode::Decoded`), block-stepped scheduler (the default).
+    /// The pre-decoded µop interpreter, serial launches.
     pub decoded: ModeRun,
-    /// The decoded interpreter with block stepping disabled
-    /// (`SASSI_BLOCK_STEP=0` semantics): one µop per scheduler pick.
-    /// Same instruction counts as `decoded`, asserted in-process.
-    pub single_step: ModeRun,
     /// The pre-decoded µop interpreter with `jobs` CTA-shard workers
     /// per launch — the SM-worker execution model.
     pub parallel: ModeRun,
-    /// The seed-semantics interpreter, serial launches
-    /// (`ExecMode::Reference`).
-    pub reference: ModeRun,
     /// The decoded interpreter running the same workloads under the
     /// paper's branch study (Case Study I): every conditional branch
     /// trampolines into the handler. Serial launches, so the wall time
@@ -74,19 +66,13 @@ pub struct HotLoopReport {
     /// end-to-end slowdown of branch instrumentation, the analogue of
     /// the paper's Table 4 `cfg` row.
     pub instrumented_overhead: f64,
-    /// reference busy time / decoded busy time (interpreter speedup).
-    pub speedup: f64,
-    /// single-step wall time / block-stepped wall time, measured in
-    /// the same process on the same warmed state — the wall-clock win
-    /// of running warps to their basic-block boundary per pick.
-    pub block_speedup: f64,
     /// decoded serial wall time / parallel wall time: how much faster
     /// the same workloads finish when each launch's CTAs run across
     /// `jobs` workers instead of one. ~1.0 on a single-core host;
     /// approaches the populated shard count on a multicore host.
     pub parallel_speedup: f64,
-    /// Per-instruction-class issue counts (identical across all three
-    /// sweeps; taken from the decoded serial run).
+    /// Per-instruction-class issue counts (identical across the serial
+    /// and parallel sweeps; taken from the serial run).
     pub issue: IssueCounters,
 }
 
@@ -104,7 +90,7 @@ const PASSES: usize = 3;
 /// statics), biasing whichever configuration ran first. Warming with a
 /// real workload under the same configuration moves those costs out of
 /// every timed window.
-fn warmup(mode: ExecMode, cta_jobs: usize, block_step: bool) {
+fn warmup(cta_jobs: usize) {
     let w = sassi_workloads::by_name("hotspot").expect("warm-up workload");
     let mut mb = ModuleBuilder::new();
     for k in w.kernels() {
@@ -112,23 +98,16 @@ fn warmup(mode: ExecMode, cta_jobs: usize, block_step: bool) {
     }
     let module = mb.build(None).expect("build");
     let mut rt = Runtime::with_defaults();
-    rt.device.exec_mode = mode;
     rt.set_cta_jobs(cta_jobs);
-    rt.set_block_step(block_step);
     let out = w.execute(&mut rt, &module, &mut NoHandlers);
     assert!(out.is_ok(), "warm-up: {:?}", out.err());
 }
 
-fn sweep(
-    mode: ExecMode,
-    jobs: usize,
-    cta_jobs: usize,
-    block_step: bool,
-) -> (ModeRun, IssueCounters) {
-    warmup(mode, cta_jobs, block_step);
+fn sweep(cta_jobs: usize) -> (ModeRun, IssueCounters) {
+    warmup(cta_jobs);
     let mut best: Option<(ModeRun, IssueCounters)> = None;
     for _ in 0..PASSES {
-        let pass = sweep_pass(mode, jobs, cta_jobs, block_step);
+        let pass = sweep_pass(cta_jobs);
         match &best {
             Some((b, bi)) => {
                 assert_eq!(b.warp_instrs, pass.0.warp_instrs);
@@ -143,39 +122,27 @@ fn sweep(
     best.expect("at least one pass")
 }
 
-fn sweep_pass(
-    mode: ExecMode,
-    jobs: usize,
-    cta_jobs: usize,
-    block_step: bool,
-) -> (ModeRun, IssueCounters) {
-    let (per_unit, timing) = run_units(
-        jobs,
-        HOTLOOP_SET,
-        WorkloadCache::default,
-        |cache, name, _| {
-            let w = cache.get(name);
-            let mut mb = ModuleBuilder::new();
-            for k in w.kernels() {
-                mb.add_kernel(k);
-            }
-            let module = mb.build(None).expect("build");
-            let mut rt = Runtime::with_defaults();
-            rt.device.exec_mode = mode;
-            rt.set_cta_jobs(cta_jobs);
-            rt.set_block_step(block_step);
-            let out = w.execute(&mut rt, &module, &mut NoHandlers);
-            assert!(out.is_ok(), "{name}: {:?}", out.err());
-            let mut issue = IssueCounters::default();
-            let (mut wi, mut ti) = (0u64, 0u64);
-            for r in rt.records() {
-                wi += r.result.stats.warp_instrs;
-                ti += r.result.stats.thread_instrs;
-                issue.merge(&r.result.stats.issue);
-            }
-            (wi, ti, issue)
-        },
-    );
+fn sweep_pass(cta_jobs: usize) -> (ModeRun, IssueCounters) {
+    let (per_unit, timing) = run_units(1, HOTLOOP_SET, WorkloadCache::default, |cache, name, _| {
+        let w = cache.get(name);
+        let mut mb = ModuleBuilder::new();
+        for k in w.kernels() {
+            mb.add_kernel(k);
+        }
+        let module = mb.build(None).expect("build");
+        let mut rt = Runtime::with_defaults();
+        rt.set_cta_jobs(cta_jobs);
+        let out = w.execute(&mut rt, &module, &mut NoHandlers);
+        assert!(out.is_ok(), "{name}: {:?}", out.err());
+        let mut issue = IssueCounters::default();
+        let (mut wi, mut ti) = (0u64, 0u64);
+        for r in rt.records() {
+            wi += r.result.stats.warp_instrs;
+            ti += r.result.stats.thread_instrs;
+            issue.merge(&r.result.stats.issue);
+        }
+        (wi, ti, issue)
+    });
     let mut issue = IssueCounters::default();
     let (mut wi, mut ti) = (0u64, 0u64);
     for (w, t, i) in &per_unit {
@@ -201,7 +168,7 @@ fn sweep_pass(
 /// conditional branch instrumented. Returns the run plus the total
 /// warp-level handler invocations.
 fn instrumented_sweep() -> (ModeRun, u64) {
-    warmup(ExecMode::Decoded, 1, true);
+    warmup(1);
     let mut best: Option<(ModeRun, u64)> = None;
     for _ in 0..PASSES {
         let pass = instrumented_pass();
@@ -230,8 +197,6 @@ fn instrumented_pass() -> (ModeRun, u64) {
         }
         let module = mb.build(Some(&sassi)).expect("build");
         let mut rt = Runtime::with_defaults();
-        rt.device.exec_mode = ExecMode::Decoded;
-        rt.set_block_step(true);
         let out = w.execute(&mut rt, &module, &mut sassi);
         assert!(out.is_ok(), "{name}: {:?}", out.err());
         let (mut wi, mut ti, mut hc) = (0u64, 0u64, 0u64);
@@ -263,55 +228,30 @@ fn instrumented_pass() -> (ModeRun, u64) {
 }
 
 /// Runs the comparison (decoded serial, decoded CTA-parallel, then
-/// reference serial, then the branch-instrumented serial sweep) and
-/// returns the report. Workloads always run one
-/// at a time — `jobs` buys CTA-shard workers in the parallel sweep
-/// only — so the sweeps' wall times are directly comparable instead of
-/// confounded by outer-level scheduling. The issue-class breakdown and
-/// instruction counts are asserted identical across all three sweeps —
-/// a cheap online rerun of the decode-equivalence property that also
-/// covers the parallel engine's stat merge.
+/// the branch-instrumented serial sweep) and returns the report.
+/// Workloads always run one at a time — `jobs` buys CTA-shard workers
+/// in the parallel sweep only — so the sweeps' wall times are directly
+/// comparable instead of confounded by outer-level scheduling. The
+/// issue-class breakdown and instruction counts are asserted identical
+/// between the serial and parallel sweeps, a cheap online check of the
+/// parallel engine's stat merge.
 pub fn compare(jobs: usize) -> HotLoopReport {
-    let (decoded, issue_d) = sweep(ExecMode::Decoded, 1, 1, true);
-    let (single_step, issue_s) = sweep(ExecMode::Decoded, 1, 1, false);
-    let (parallel, issue_p) = sweep(ExecMode::Decoded, 1, jobs, true);
-    let (reference, issue_r) = sweep(ExecMode::Reference, 1, 1, false);
+    let (decoded, issue_d) = sweep(1);
+    let (parallel, issue_p) = sweep(jobs);
     let (instrumented, handler_calls) = instrumented_sweep();
     assert!(handler_calls > 0, "branch sweep fired no handler calls");
     // Trampolines add instructions, so the instrumented sweep is only
     // sanity-checked for more work than native, not exact equality.
     assert!(instrumented.warp_instrs > decoded.warp_instrs);
     assert_eq!(
-        issue_d, issue_s,
-        "issue-class counters diverge between block-stepped and single-stepped runs"
-    );
-    assert_eq!(
         issue_d, issue_p,
         "issue-class counters diverge between serial and CTA-parallel runs"
     );
-    assert_eq!(
-        issue_d, issue_r,
-        "issue-class counters diverge between interpreters"
-    );
-    assert_eq!(decoded.warp_instrs, single_step.warp_instrs);
-    assert_eq!(decoded.thread_instrs, single_step.thread_instrs);
     assert_eq!(decoded.warp_instrs, parallel.warp_instrs);
     assert_eq!(decoded.thread_instrs, parallel.thread_instrs);
-    assert_eq!(decoded.warp_instrs, reference.warp_instrs);
-    assert_eq!(decoded.thread_instrs, reference.thread_instrs);
     HotLoopReport {
         workloads: HOTLOOP_SET.iter().map(|s| s.to_string()).collect(),
         jobs,
-        speedup: if decoded.busy_s > 0.0 {
-            reference.busy_s / decoded.busy_s
-        } else {
-            1.0
-        },
-        block_speedup: if decoded.wall_s > 0.0 {
-            single_step.wall_s / decoded.wall_s
-        } else {
-            1.0
-        },
         parallel_speedup: if parallel.wall_s > 0.0 {
             decoded.wall_s / parallel.wall_s
         } else {
@@ -323,9 +263,7 @@ pub fn compare(jobs: usize) -> HotLoopReport {
             1.0
         },
         decoded,
-        single_step,
         parallel,
-        reference,
         instrumented,
         handler_calls,
         issue: issue_d,

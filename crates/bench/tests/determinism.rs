@@ -66,15 +66,13 @@ fn branch_sweep_is_identical_across_job_counts() {
 #[test]
 fn instrumented_smoke_matches_serial_under_env_jobs() {
     // The CI instrumented-smoke gate: one branch-study launch driven at
-    // whatever `SASSI_JOBS` and `SASSI_BLOCK_STEP` the matrix leg sets
-    // (jobs 1/4 × block-step 0/1 in CI), with the serialized study
-    // output asserted byte-identical to the pinned single-step serial
-    // run. Locally, with the env unset, this still exercises the
-    // machine's available parallelism and the default block-stepped
-    // scheduler against that baseline.
+    // whatever `SASSI_JOBS` the matrix leg sets (1 or 4 in CI), with
+    // the serialized study output asserted byte-identical to the
+    // serial run. Locally, with the env unset, this exercises the
+    // machine's available parallelism against that baseline.
     let jobs = sassi_bench::exec::default_jobs();
     let w = by_name("nn").expect("workload");
-    let serial = branch::run_with_config(w.as_ref(), 1, Some(false));
+    let serial = branch::run_with_jobs(w.as_ref(), 1);
     let under_env = branch::run_with_jobs(w.as_ref(), jobs);
     assert!(
         serial.row.dynamic_total > 0,
@@ -83,27 +81,8 @@ fn instrumented_smoke_matches_serial_under_env_jobs() {
     assert_eq!(
         json(&serial.row),
         json(&under_env.row),
-        "branch study output diverges between the pinned serial single-step \
-         run and cta_jobs={jobs} under the environment's block-step setting"
+        "branch study output diverges between the serial run and cta_jobs={jobs}"
     );
-}
-
-#[test]
-fn branch_study_is_identical_across_block_step_and_jobs() {
-    // The full four-cell matrix in one process: the branch study's
-    // serialized row must be byte-identical across
-    // `cta_jobs` ∈ {1, 4} × `block_step` ∈ {off, on} — scheduling
-    // (parallelism and block batching) must never leak into
-    // instruction-derived study output.
-    let w = by_name("nn").expect("workload");
-    let baseline = json(&branch::run_with_config(w.as_ref(), 1, Some(false)).row);
-    for (jobs, block_step) in [(1, true), (4, false), (4, true)] {
-        assert_eq!(
-            baseline,
-            json(&branch::run_with_config(w.as_ref(), jobs, Some(block_step)).row),
-            "branch study diverges at cta_jobs={jobs}, block_step={block_step}"
-        );
-    }
 }
 
 #[test]

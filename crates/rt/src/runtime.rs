@@ -117,16 +117,6 @@ impl Runtime {
         self
     }
 
-    /// Forces the decoded interpreter's block-stepped scheduler on or
-    /// off for this runtime's device, overriding the process-wide
-    /// `SASSI_BLOCK_STEP` default. Functional results and
-    /// instruction-derived statistics are identical either way; only
-    /// cycle-derived numbers shift.
-    pub fn set_block_step(&mut self, on: bool) -> &mut Runtime {
-        self.device.block_step = on;
-        self
-    }
-
     /// Allocates a device buffer (`cudaMalloc`).
     ///
     /// # Panics

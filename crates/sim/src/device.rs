@@ -68,9 +68,11 @@ impl fmt::Display for LaunchError {
 
 impl std::error::Error for LaunchError {}
 
-/// Which interpreter loop [`Device::launch`] executes.
+/// Which interpreter executes each µop of a scheduler run.
 ///
-/// Both modes are bit-exact: identical `LaunchResult`s, stats and
+/// Both modes share one scheduler: every pick runs the warp to its
+/// basic-block boundary (see `Exec::step_block`), so the two are
+/// bit-exact — identical `LaunchResult`s (cycles included), stats and
 /// memory effects. `Reference` exists as the differential-testing
 /// oracle for the pre-decoded fast path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,8 +95,9 @@ pub struct Device {
     pub cfg: GpuConfig,
     /// Global device memory.
     pub mem: DeviceMemory,
-    /// Which interpreter loop `launch` runs (defaults to the decoded
-    /// fast path; flip to `Reference` for differential testing).
+    /// Which interpreter executes the µops of each scheduler run
+    /// (defaults to the decoded fast path; flip to `Reference` for
+    /// differential testing).
     pub exec_mode: ExecMode,
     /// Worker threads executing SM shards of one launch. `1` (the
     /// default) runs shards sequentially on the calling thread; higher
@@ -102,33 +105,8 @@ pub struct Device {
     /// shards on a fixed-size pool. Results are merged in canonical
     /// shard order, so they are identical for any value.
     pub cta_jobs: usize,
-    /// Whether the decoded interpreter runs warps to their basic-block
-    /// boundary per scheduler visit (the default) instead of one µop
-    /// per visit. Block stepping preserves functional semantics and
-    /// all instruction-derived statistics; only cycle-derived numbers
-    /// shift (intra-block memory stalls overlap instead of
-    /// serializing). Defaults from the `SASSI_BLOCK_STEP` environment
-    /// variable (`0` → single-step); the reference interpreter and
-    /// kernels with consuming global atomics (whose instruction
-    /// streams observe warp interleaving) always single-step.
-    pub block_step: bool,
     slots: Vec<SmSlot>,
     warp_allocations: u64,
-}
-
-/// Process-wide default for [`Device::block_step`]: `false` iff
-/// `SASSI_BLOCK_STEP` is set to `0` (the debugging / A-B escape
-/// hatch), `true` otherwise. Read once and cached — flip the field on
-/// the device (or use `Runtime::set_block_step`) for programmatic
-/// control within a process.
-pub fn block_step_env_default() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        !matches!(
-            std::env::var("SASSI_BLOCK_STEP").as_deref().map(str::trim),
-            Ok("0")
-        )
-    })
 }
 
 /// Persistent per-SM execution state, recycled across launches.
@@ -163,7 +141,6 @@ struct ShardEnv<'a> {
     cbank: Vec<u8>,
     launch_index: u64,
     max_cycles: u64,
-    block_step: bool,
 }
 
 /// One shard's contribution to the launch result.
@@ -183,7 +160,6 @@ impl Device {
             mem: DeviceMemory::new(heap_bytes),
             exec_mode: ExecMode::default(),
             cta_jobs: 1,
-            block_step: block_step_env_default(),
             slots: Vec::new(),
             warp_allocations: 0,
         }
@@ -265,18 +241,6 @@ impl Device {
             cbank: build_cbank0(&self.cfg, kf, dims, params),
             launch_index,
             max_cycles,
-            // The reference interpreter is the cycle-exact oracle for
-            // the decoded path, so it always single-steps. Kernels with
-            // consuming atomics also single-step: block stepping
-            // coarsens the intra-SM warp interleaving, and a consumed
-            // old value (CAS winners, `atom` destinations) feeds that
-            // interleaving back into the instruction stream — the same
-            // hazard that gates CTA-parallel shard forking below. All
-            // other kernels' instruction-derived statistics are
-            // interleaving-independent.
-            block_step: self.block_step
-                && self.exec_mode == ExecMode::Decoded
-                && !decoded.has_consuming_global_atomics(),
         };
 
         let jobs = self.cta_jobs.max(1).min(num_shards);
@@ -442,7 +406,6 @@ fn run_shard(
         stats: LaunchStats::default(),
         warp_allocs: 0,
         retire_pending: false,
-        block_step: env.block_step,
     };
     let outcome = exec.run(env.max_cycles);
     let mut stats = exec.stats;
@@ -522,9 +485,6 @@ struct Exec<'a> {
     /// skip the scan entirely on the (vastly more common) cycles where
     /// nothing retired.
     retire_pending: bool,
-    /// Run a picked warp to its basic-block boundary instead of one
-    /// µop per pick (decoded mode only; see [`Device::block_step`]).
-    block_step: bool,
 }
 
 impl Exec<'_> {
@@ -621,25 +581,15 @@ impl Exec<'_> {
             self.issue_block();
         }
 
-        // The decoded interpreter amortizes warp selection over whole
-        // straight-line runs; the reference interpreter (and the
-        // `SASSI_BLOCK_STEP=0` escape hatch) pays one pick per µop.
-        let block_step = self.block_step && self.mode == ExecMode::Decoded;
         loop {
             if self.cycle > max_cycles {
                 return KernelOutcome::Hang;
             }
             match self.pick() {
                 Pick::Warp(wi) => {
-                    // `step_block` charges its own cycles (one per µop
-                    // executed); the single-step path charges one here.
-                    // A faulting µop charges none in either path.
-                    let stepped = if block_step {
-                        self.step_block(wi)
-                    } else {
-                        self.step(wi)
-                    };
-                    if let Err(kind) = stepped {
+                    // `step_block` charges its own cycles: one per µop
+                    // executed, none for a faulting µop.
+                    if let Err(kind) = self.step_block(wi) {
                         return KernelOutcome::Fault(FaultInfo {
                             kind,
                             pc: self.warps[wi].pc,
@@ -648,9 +598,6 @@ impl Exec<'_> {
                     }
                     if self.warps[wi].status == WarpStatus::Done {
                         self.retire_pending = true;
-                    }
-                    if !block_step {
-                        self.cycle += 1;
                     }
                 }
                 Pick::Stalled(until) => {
@@ -670,20 +617,34 @@ impl Exec<'_> {
     /// basic block: every remaining µop of the straight-line run
     /// (predicated-off ones included) executes under this one
     /// scheduler visit, bailing out early only on a fault, warp
-    /// retirement or a barrier.
+    /// retirement or a barrier. This is the only scheduler path, for
+    /// both [`ExecMode`]s.
     ///
-    /// Cycle accounting charges the run's µop count — one cycle per
-    /// µop, exactly as single-stepping does — so instruction-derived
-    /// statistics are byte-identical to `SASSI_BLOCK_STEP=0`.
-    /// Intermediate dependence stalls are *not* waited out mid-block;
-    /// instead the block's final `ready_at` is the max over its µops',
+    /// Kernels with consuming global atomics run one µop per visit
+    /// (a run ending at `pc + 1`): a consumed old value (CAS winners,
+    /// `atom` destinations) feeds the intra-SM warp interleaving back
+    /// into the instruction stream, so coarsening that interleaving
+    /// would change what such kernels compute.
+    ///
+    /// The timing contract (DESIGN.md): one cycle per µop executed;
+    /// intermediate dependence stalls are *not* waited out mid-run;
+    /// instead the run's final `ready_at` is the max over its µops',
     /// so a long-latency load still delays the warp's next run while
-    /// other warps fill the gap. That overlap (and nothing else) is
-    /// what shifts cycle-derived artifacts versus single-stepping.
+    /// other warps fill the gap.
+    ///
+    /// In `Decoded` mode consecutive ALU µops take a fused inner loop
+    /// and every other µop goes through `step_decoded`; in `Reference`
+    /// mode every µop goes through `step_reference`.
     fn step_block(&mut self, wi: usize) -> Result<(), FaultKind> {
         // The extent is asked from the *current* pc: jumps into the
         // middle of a run execute only its remaining suffix.
-        let end = self.decoded.block_end(self.warps[wi].pc);
+        let pc = self.warps[wi].pc;
+        let end = if self.decoded.has_consuming_global_atomics() {
+            pc.saturating_add(1)
+        } else {
+            self.decoded.block_end(pc)
+        };
+        let fused = self.mode == ExecMode::Decoded;
         let mut block_ready = 0u64;
         loop {
             // Straight-line fast path: consecutive ALU-class µops of
@@ -696,7 +657,7 @@ impl Exec<'_> {
             // `finish` would write) folded into the block maximum.
             // The boundary µop at `end - 1` — like memory, trap, S2R
             // and warp-wide µops — always takes the general path.
-            {
+            if fused {
                 let dm: &DecodedModule = self.decoded;
                 let cbank = self.cbank;
                 let w = &mut self.warps[wi];
@@ -721,7 +682,11 @@ impl Exec<'_> {
             // On a fault the warp's pc still names the faulting µop
             // and earlier µops' cycles are already charged — precise
             // resume needs no boundary at fault-capable µops.
-            self.step_decoded(wi)?;
+            if fused {
+                self.step_decoded(wi)?;
+            } else {
+                self.step_reference(wi)?;
+            }
             self.cycle += 1;
             let w = &self.warps[wi];
             block_ready = block_ready.max(w.ready_at);
@@ -835,15 +800,6 @@ impl Exec<'_> {
     /// Guard evaluation from the packed guard byte.
     fn guard_mask_decoded(&self, w: &Warp, g: u8) -> LaneMask {
         guard_mask(w, g)
-    }
-
-    /// Executes one instruction of warp `wi`. Returns a fault kind on
-    /// abort.
-    fn step(&mut self, wi: usize) -> Result<(), FaultKind> {
-        match self.mode {
-            ExecMode::Decoded => self.step_decoded(wi),
-            ExecMode::Reference => self.step_reference(wi),
-        }
     }
 
     /// The pre-decoded hot loop: executes one µop with no allocation,

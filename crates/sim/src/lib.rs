@@ -56,7 +56,7 @@ pub use decode::{
     is_block_boundary, BasicBlock, DSrc, DecodedFault, DecodedInstr, DecodedModule, TrapSite, UOp,
     GUARD_ALWAYS,
 };
-pub use device::{block_step_env_default, Device, ExecMode, LaunchError};
+pub use device::{Device, ExecMode, LaunchError};
 pub use module::{LinkError, LinkedFunction, Module};
 pub use stats::{
     FaultInfo, FaultKind, IssueClass, IssueCounters, KernelOutcome, LaunchResult, LaunchStats,

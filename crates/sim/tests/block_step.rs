@@ -1,15 +1,16 @@
-//! The block-stepped scheduler's contract, in two halves:
+//! The block-stepped scheduler's contract, in three parts:
 //!
 //! 1. **Table invariants** — over random instruction streams, the
 //!    decode-time basic-block table is a partition of the pc space
 //!    whose internal pcs are exactly the non-boundary µops and whose
 //!    block-ending pcs are exactly the control-transfer/barrier µops
 //!    (or the end of the module).
-//! 2. **Execution equivalence** — running whole blocks per scheduler
-//!    pick must leave every observable except the cycle counter
-//!    untouched: outputs, memory, all instruction-derived
-//!    `LaunchStats` counters, handler activity and precise faults are
-//!    byte-identical to the single-stepped decoded interpreter.
+//! 2. **Oracle equivalence** — on divergent, barrier, trap-dense and
+//!    faulting kernels, the decoded interpreter's fused run loop gives
+//!    the same `LaunchResult` (cycles included), memory and precise
+//!    faults as the reference interpreter under the same scheduler.
+//! 3. **Timing contract** — a run does not wait on dependences inside
+//!    it (DESIGN.md, "Timing contract").
 
 use proptest::prelude::*;
 use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
@@ -17,7 +18,7 @@ use sassi_isa::{FunctionMeta, Instr, Label, Op};
 use sassi_kir::{Compiler, KernelBuilder};
 use sassi_sim::{
     is_block_boundary, DecodedModule, Device, ExecMode, KernelOutcome, LaunchDims, LaunchResult,
-    LaunchStats, LinkedFunction, Module, NoHandlers,
+    LinkedFunction, Module, NoHandlers,
 };
 use std::collections::BTreeMap;
 
@@ -121,51 +122,29 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Half 2: execution equivalence, block-stepped vs single-stepped.
+// Part 2: oracle equivalence, decoded vs reference interpreter.
 
-/// Launches `module`'s kernel `k` on a decoded device with the given
-/// stepping mode; returns the result and the first `words` of `buf0`.
-fn run_decoded(
+/// Launches `module`'s kernel `k` on a device running `mode`; returns
+/// the result and the first `out_words` of its output buffer.
+fn run_mode(
     module: &Module,
-    kernel: &str,
     dims: LaunchDims,
     out_words: u64,
-    block_step: bool,
+    mode: ExecMode,
     sassi: Option<&mut Sassi>,
 ) -> (LaunchResult, Vec<u32>) {
     let mut dev = Device::with_defaults();
-    dev.exec_mode = ExecMode::Decoded;
-    dev.block_step = block_step;
+    dev.exec_mode = mode;
     let out = dev.mem.alloc(out_words * 4, 8).unwrap();
     let res = match sassi {
-        Some(s) => dev.launch(module, kernel, dims, &[out], s, 0, 1 << 32),
-        None => dev.launch(module, kernel, dims, &[out], &mut NoHandlers, 0, 1 << 32),
+        Some(s) => dev.launch(module, "k", dims, &[out], s, 0, 1 << 32),
+        None => dev.launch(module, "k", dims, &[out], &mut NoHandlers, 0, 1 << 32),
     }
     .unwrap();
     let mem = (0..out_words)
         .map(|i| dev.mem.read_u32(out + 4 * i).unwrap())
         .collect();
     (res, mem)
-}
-
-/// Every instruction-derived `LaunchStats` counter — everything except
-/// `cycles` and the cycle-weighted `handler_cycles` share of stalls.
-fn work_counters(s: &LaunchStats) -> (u64, u64, u64, u64, u64, u64, u64, [u64; 4]) {
-    (
-        s.warp_instrs,
-        s.thread_instrs,
-        s.divergent_branches,
-        s.cond_branches,
-        s.handler_calls,
-        s.handler_cycles,
-        s.blocks,
-        [
-            s.issue.memory,
-            s.issue.control,
-            s.issue.numeric,
-            s.issue.misc,
-        ],
-    )
 }
 
 /// Kernel with nested divergence, a barrier astride the divergent
@@ -235,50 +214,42 @@ fn faulting_kernel(bit: u32, n_pre: u32) -> sassi_kir::KFunction {
 }
 
 fn check_equivalent(module: &Module, dims: LaunchDims, out_words: u64, instrument: bool) {
-    let (mut s_single, mut s_block) = (Sassi::new(), Sassi::new());
-    for s in [&mut s_single, &mut s_block] {
+    let (mut s_ref, mut s_dec) = (Sassi::new(), Sassi::new());
+    for s in [&mut s_ref, &mut s_dec] {
         s.on_before(
             SiteFilter::ALL,
             InfoFlags::NONE,
             Box::new(FnHandler::free(|_| {})),
         );
     }
-    let (res_s, mem_s) = run_decoded(
+    let (res_r, mem_r) = run_mode(
         module,
-        "k",
         dims,
         out_words,
-        false,
-        instrument.then_some(&mut s_single),
+        ExecMode::Reference,
+        instrument.then_some(&mut s_ref),
     );
-    let (res_b, mem_b) = run_decoded(
+    let (res_d, mem_d) = run_mode(
         module,
-        "k",
         dims,
         out_words,
-        true,
-        instrument.then_some(&mut s_block),
+        ExecMode::Decoded,
+        instrument.then_some(&mut s_dec),
     );
-    assert_eq!(res_b.outcome, res_s.outcome, "outcome diverges");
-    assert_eq!(mem_b, mem_s, "memory diverges");
-    if matches!(res_s.outcome, KernelOutcome::Completed) {
-        assert_eq!(
-            work_counters(&res_b.stats),
-            work_counters(&res_s.stats),
-            "instruction-derived stats diverge"
-        );
-        assert_eq!(res_b.mem, res_s.mem, "memory-system counters diverge");
-    }
+    // The whole result: outcome, every `LaunchStats` counter (cycles
+    // included) and the memory-system counters.
+    assert_eq!(res_d, res_r, "launch result diverges");
+    assert_eq!(mem_d, mem_r, "memory diverges");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Divergence + barrier + memory kernels: block-stepped execution
-    /// is byte-identical to single-step on everything but cycles, with
-    /// and without every-site instrumentation (traps inside blocks).
+    /// Divergence + barrier + memory kernels: the decoded run loop is
+    /// cycle-exact against the reference interpreter, with and without
+    /// every-site instrumentation (traps inside blocks).
     #[test]
-    fn block_step_matches_single_step(
+    fn decoded_runs_match_reference(
         n_then in 0u32..4,
         n_else in 0u32..4,
         bit in 0u32..5,
@@ -297,22 +268,23 @@ proptest! {
         check_equivalent(&module, LaunchDims::linear(2, 64), 128, instrument);
     }
 
-    /// Faulting kernels: the block-stepped scheduler reports the exact
-    /// same precise fault (kind, pc, sm) and identical memory effects
-    /// up to the fault.
+    /// Faulting kernels: a fault in the middle of a run is precise —
+    /// the decoded loop reports the same fault (kind, pc, sm), cycles
+    /// and memory effects up to the fault as the reference.
     #[test]
-    fn block_step_preserves_precise_faults(
+    fn runs_preserve_precise_faults(
         bit in 0u32..5,
         n_pre in 0u32..4,
     ) {
         let kf = faulting_kernel(bit, n_pre);
         let func = Compiler::new().compile(&kf).unwrap();
         let module = Module::link(std::slice::from_ref(&func)).unwrap();
-        let (res_s, mem_s) = run_decoded(&module, "k", LaunchDims::linear(2, 32), 64, false, None);
-        let (res_b, mem_b) = run_decoded(&module, "k", LaunchDims::linear(2, 32), 64, true, None);
-        prop_assert!(matches!(res_s.outcome, KernelOutcome::Fault(_)), "expected a fault");
-        prop_assert_eq!(res_b.outcome, res_s.outcome, "fault identity diverges");
-        prop_assert_eq!(mem_b, mem_s, "pre-fault memory diverges");
+        let dims = LaunchDims::linear(2, 32);
+        let (res_r, mem_r) = run_mode(&module, dims, 64, ExecMode::Reference, None);
+        let (res_d, mem_d) = run_mode(&module, dims, 64, ExecMode::Decoded, None);
+        prop_assert!(matches!(res_r.outcome, KernelOutcome::Fault(_)), "expected a fault");
+        prop_assert_eq!(res_d, res_r, "fault result diverges");
+        prop_assert_eq!(mem_d, mem_r, "pre-fault memory diverges");
     }
 }
 
@@ -350,4 +322,81 @@ fn traps_do_not_fragment_blocks() {
         );
     }
     check_equivalent(&module, LaunchDims::linear(2, 32), 64, true);
+}
+
+// ---------------------------------------------------------------------
+// Part 3: the timing contract.
+
+/// One warp runs a single straight-line block: a global load, then an
+/// ALU µop reading either the load's destination or an unrelated
+/// register, then a store of the ALU result. A run does not wait on
+/// dependences inside it, so both variants take the same cycles — one
+/// per µop — while the dependent one still computes with the loaded
+/// value.
+#[test]
+fn runs_do_not_wait_on_intra_block_dependences() {
+    use sassi_isa::{CBankAddr, Gpr, MemAddr, MemWidth, Src};
+    let r = Gpr::new;
+    let kernel = |alu_src: Gpr| {
+        raw_module(vec![
+            Instr::new(Op::Mov {
+                d: r(2),
+                a: Src::Const(CBankAddr::new(0, 0x140)),
+            }),
+            Instr::new(Op::Mov {
+                d: r(3),
+                a: Src::Const(CBankAddr::new(0, 0x144)),
+            }),
+            Instr::new(Op::Ld {
+                d: r(4),
+                width: MemWidth::B32,
+                addr: MemAddr::global(r(2), 0),
+                spill: false,
+            }),
+            Instr::new(Op::IAdd {
+                d: r(5),
+                a: alu_src,
+                b: Src::Imm(1),
+                x: false,
+                cc: false,
+            }),
+            Instr::new(Op::St {
+                v: r(5),
+                width: MemWidth::B32,
+                addr: MemAddr::global(r(2), 4),
+                spill: false,
+            }),
+            Instr::new(Op::Exit),
+        ])
+    };
+    for mode in [ExecMode::Decoded, ExecMode::Reference] {
+        let mut cycles = Vec::new();
+        for (alu_src, want) in [(r(4), 42), (r(6), 1)] {
+            let module = kernel(alu_src);
+            assert_eq!(DecodedModule::decode(&module).blocks().len(), 1);
+            let mut dev = Device::with_defaults();
+            dev.exec_mode = mode;
+            let buf = dev.mem.alloc(8, 8).unwrap();
+            dev.mem.write_u32(buf, 41).unwrap();
+            let res = dev
+                .launch(
+                    &module,
+                    "k",
+                    LaunchDims::linear(1, 32),
+                    &[buf],
+                    &mut NoHandlers,
+                    0,
+                    1 << 20,
+                )
+                .unwrap();
+            assert!(res.is_ok(), "{:?}", res.outcome);
+            assert_eq!(dev.mem.read_u32(buf + 4).unwrap(), want);
+            cycles.push(res.stats.cycles);
+        }
+        assert_eq!(
+            cycles[0], cycles[1],
+            "{mode:?}: a dependent µop inside a run must not stall"
+        );
+        assert_eq!(cycles[0], 6, "{mode:?}: one cycle per µop");
+    }
 }

@@ -14,7 +14,6 @@ fn run_workload(
     w: &dyn Workload,
     mode: ExecMode,
     cta_jobs: usize,
-    block_step: bool,
 ) -> (Result<WorkloadOutput, RunFailure>, Vec<LaunchRecord>) {
     let mut mb = ModuleBuilder::new();
     for k in w.kernels() {
@@ -24,18 +23,8 @@ fn run_workload(
     let mut rt = Runtime::with_defaults();
     rt.device.exec_mode = mode;
     rt.set_cta_jobs(cta_jobs);
-    rt.set_block_step(block_step);
     let out = w.execute(&mut rt, &module, &mut NoHandlers);
     (out, rt.records().to_vec())
-}
-
-/// A record with cycle-derived fields zeroed, for comparisons across
-/// schedulers that are instruction-identical but not cycle-identical.
-fn strip_cycles(mut recs: Vec<LaunchRecord>) -> Vec<LaunchRecord> {
-    for r in &mut recs {
-        r.result.stats.cycles = 0;
-    }
-    recs
 }
 
 /// Workloads covering the engine's interesting regimes: reduction
@@ -56,55 +45,31 @@ const PARALLEL_SAMPLE: &[&str] = &[
 #[test]
 fn cta_parallel_launches_match_serial() {
     for name in PARALLEL_SAMPLE {
-        for block_step in [false, true] {
-            let w = by_name(name).expect("workload");
-            let (out_1, rec_1) = run_workload(w.as_ref(), ExecMode::Decoded, 1, block_step);
-            let (out_4, rec_4) = run_workload(w.as_ref(), ExecMode::Decoded, 4, block_step);
-            assert_eq!(out_1, out_4, "{name}: output diverges with cta_jobs=4");
-            // LaunchRecord equality covers outcome, every LaunchStats
-            // counter (cycles, instrs, divergence, issue classes,
-            // handler calls) and the memory-system counters.
-            assert_eq!(
-                rec_1, rec_4,
-                "{name}: launch records diverge (block_step={block_step})"
-            );
-        }
+        let w = by_name(name).expect("workload");
+        let (out_1, rec_1) = run_workload(w.as_ref(), ExecMode::Decoded, 1);
+        let (out_4, rec_4) = run_workload(w.as_ref(), ExecMode::Decoded, 4);
+        assert_eq!(out_1, out_4, "{name}: output diverges with cta_jobs=4");
+        // LaunchRecord equality covers outcome, every LaunchStats
+        // counter (cycles, instrs, divergence, issue classes,
+        // handler calls) and the memory-system counters.
+        assert_eq!(rec_1, rec_4, "{name}: launch records diverge");
     }
 }
 
+/// The decoded engine on four CTA workers matches the reference
+/// interpreter run serially: outputs and every launch-record field,
+/// cycles included, since both run under the same scheduler.
 #[test]
 fn decoded_parallel_matches_reference_serial() {
     for name in PARALLEL_SAMPLE {
         let w = by_name(name).expect("workload");
-        let (out_p, rec_p) = run_workload(w.as_ref(), ExecMode::Decoded, 4, false);
-        let (out_r, rec_r) = run_workload(w.as_ref(), ExecMode::Reference, 1, false);
+        let (out_p, rec_p) = run_workload(w.as_ref(), ExecMode::Decoded, 4);
+        let (out_r, rec_r) = run_workload(w.as_ref(), ExecMode::Reference, 1);
         assert_eq!(
             out_p, out_r,
             "{name}: decoded parallel output diverges from reference serial"
         );
         assert_eq!(rec_p, rec_r, "{name}: launch records diverge");
-    }
-}
-
-/// The block-stepped scheduler may fold intra-block stalls (so cycle
-/// counts shift), but every instruction-derived counter — work, issue
-/// classes, divergence, memory traffic — and all outputs must match the
-/// single-stepped reference exactly.
-#[test]
-fn block_stepped_matches_reference_modulo_cycles() {
-    for name in PARALLEL_SAMPLE {
-        let w = by_name(name).expect("workload");
-        let (out_b, rec_b) = run_workload(w.as_ref(), ExecMode::Decoded, 4, true);
-        let (out_r, rec_r) = run_workload(w.as_ref(), ExecMode::Reference, 1, false);
-        assert_eq!(
-            out_b, out_r,
-            "{name}: block-stepped output diverges from reference"
-        );
-        assert_eq!(
-            strip_cycles(rec_b),
-            strip_cycles(rec_r),
-            "{name}: instruction-derived stats diverge under block stepping"
-        );
     }
 }
 

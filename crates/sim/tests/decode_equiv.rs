@@ -3,7 +3,9 @@
 //! reference interpreter ([`ExecMode::Reference`], the original seed
 //! semantics) — same outputs, same memory, same `LaunchStats` to the
 //! cycle, same fault outcomes — across the whole benchmark registry, a
-//! random kernel corpus, and hand-built fault-path modules.
+//! random kernel corpus, and hand-built fault-path modules. Both modes
+//! run under the one production scheduler (run-to-boundary stepping),
+//! so the comparison is cycle-exact.
 
 use proptest::prelude::*;
 use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
@@ -31,12 +33,6 @@ fn run_workload(
     let module = mb.build(None).expect("build");
     let mut rt = Runtime::with_defaults();
     rt.device.exec_mode = mode;
-    // This suite is the cycle-exact differential against the reference
-    // interpreter, so the decoded engine must single-step: the
-    // block-stepped scheduler is instruction-identical but folds
-    // intra-block stalls, shifting cycle counts (its own equivalence
-    // suite lives in `block_step.rs` / `cta_parallel.rs`).
-    rt.set_block_step(false);
     let out = w.execute(&mut rt, &module, &mut NoHandlers);
     (out, rt.records().to_vec())
 }
@@ -182,7 +178,6 @@ fn run_mode(
 ) -> (LaunchResult, Vec<u32>) {
     let mut dev = Device::with_defaults();
     dev.exec_mode = mode;
-    dev.block_step = false; // cycle-exact differential: single-step
     let out = dev.mem.alloc(64 * 4, 8).unwrap();
     let res = match handlers {
         Some(s) => dev
@@ -273,13 +268,8 @@ fn raw_module(code: Vec<Instr>) -> Module {
 }
 
 fn launch_raw(module: &Module, mode: ExecMode) -> LaunchResult {
-    launch_raw_with(module, mode, false)
-}
-
-fn launch_raw_with(module: &Module, mode: ExecMode, block_step: bool) -> LaunchResult {
     let mut dev = Device::with_defaults();
     dev.exec_mode = mode;
-    dev.block_step = block_step;
     dev.launch(
         module,
         "k",
@@ -300,13 +290,6 @@ fn assert_fault_parity(module: &Module, want: FaultKind) {
         KernelOutcome::Fault(info) => assert_eq!(info.kind, want),
         other => panic!("expected fault {want:?}, got {other:?}"),
     }
-    // The block-stepped scheduler must raise the exact same precise
-    // fault (kind, pc, sm) even though it batches µops per pick.
-    let b = launch_raw_with(module, ExecMode::Decoded, true);
-    assert_eq!(
-        b.outcome, d.outcome,
-        "fault outcome diverges under block stepping"
-    );
 }
 
 #[test]

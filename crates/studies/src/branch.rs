@@ -6,9 +6,10 @@
 //! elects the first active thread, and accumulates per-branch counters
 //! in a hash table keyed by the instruction's address.
 
+use crate::{shard, Merge};
 use parking_lot::Mutex;
 use sassi::{Handler, HandlerCost, HandlerShard, InfoFlags, Sassi, SiteCtx, SiteFilter};
-use sassi_workloads::{execute_with_opts, Workload};
+use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,11 +36,9 @@ pub struct BranchState {
     pub branches: HashMap<u64, BranchStats>,
 }
 
-impl BranchState {
-    /// Folds another accumulator into this one. Every field is an
-    /// entry-wise sum, so merging is commutative and the result does
-    /// not depend on shard order.
-    pub fn merge(&mut self, other: &BranchState) {
+/// Every field is an entry-wise sum.
+impl Merge for BranchState {
+    fn merge(&mut self, other: &BranchState) {
         for (addr, s) in &other.branches {
             let e = self.branches.entry(*addr).or_default();
             e.total_branches += s.total_branches;
@@ -93,13 +92,7 @@ impl Handler for BranchHandler {
     }
 
     fn fork(&self) -> Option<HandlerShard> {
-        let shard = Arc::new(Mutex::new(BranchState::default()));
-        let parent = self.state.clone();
-        let child = shard.clone();
-        Some(HandlerShard {
-            handler: Box::new(BranchHandler { state: child }),
-            join: Box::new(move || parent.lock().merge(&shard.lock())),
-        })
+        shard::fork(&self.state, |state| Box::new(BranchHandler { state }))
     }
 }
 
@@ -168,17 +161,6 @@ pub fn run(w: &dyn Workload) -> BranchStudy {
 /// Runs Case Study I with `cta_jobs` inner worker threads per launch.
 /// Results are byte-identical for any job count.
 pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> BranchStudy {
-    run_with_config(w, cta_jobs, None)
-}
-
-/// As [`run_with_jobs`], additionally pinning the block-stepped
-/// scheduler on or off (`None` keeps the `SASSI_BLOCK_STEP` default).
-/// The study output is byte-identical across all four
-/// `cta_jobs` × `block_step` cells — the CI matrix's contract.
-pub fn run_with_config(w: &dyn Workload, cta_jobs: usize, block_step: Option<bool>) -> BranchStudy {
-    let state = Arc::new(Mutex::new(BranchState::default()));
-    let mut sassi = instrumentor(state.clone());
-
     // Static totals come from the compiled, uninstrumented binaries —
     // exactly what SASSI sees as the final compiler pass.
     let static_total: u64 = w
@@ -193,15 +175,7 @@ pub fn run_with_config(w: &dyn Workload, cta_jobs: usize, block_step: Option<boo
         })
         .sum();
 
-    let report = execute_with_opts(w, Some(&mut sassi), None, cta_jobs, block_step);
-    assert!(
-        report.output.is_ok(),
-        "{}: {:?}",
-        w.name(),
-        report.output.err()
-    );
-
-    let st = state.lock();
+    let st: BranchState = shard::run(w, cta_jobs, instrumentor);
     let mut per_branch: Vec<(u64, BranchStats)> =
         st.branches.iter().map(|(a, s)| (*a, *s)).collect();
     // Tie-break on address: `st.branches` is a HashMap, so equal

@@ -24,4 +24,7 @@ pub mod inject;
 pub mod memdiv;
 pub mod overhead;
 pub mod report;
+mod shard;
 pub mod value;
+
+pub use shard::Merge;

@@ -7,12 +7,13 @@
 //! Figure 6 loop), and tallies a 32×32 matrix of (active lanes ×
 //! unique lines).
 
+use crate::{shard, Merge};
 use parking_lot::Mutex;
 use sassi::{
     Handler, HandlerCost, HandlerShard, InfoFlags, MemoryDomain, Sassi, Scratch, SiteCtx,
     SiteFilter,
 };
-use sassi_workloads::{execute_with_jobs, Workload};
+use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -34,17 +35,18 @@ impl Default for MemDivState {
     }
 }
 
-impl MemDivState {
-    /// Folds another accumulator into this one (element-wise sum of
-    /// the 32×32 matrix — commutative, so shard order is irrelevant).
-    pub fn merge(&mut self, other: &MemDivState) {
+/// Element-wise sum of the 32×32 matrix.
+impl Merge for MemDivState {
+    fn merge(&mut self, other: &MemDivState) {
         for (row, orow) in self.counters.iter_mut().zip(&other.counters) {
             for (cell, ocell) in row.iter_mut().zip(orow) {
                 *cell += ocell;
             }
         }
     }
+}
 
+impl MemDivState {
     /// The Figure 7 PMF: fraction of *thread-level* accesses issued
     /// from warps touching `n+1` unique lines (index `n`).
     pub fn pmf(&self) -> [f64; 32] {
@@ -146,15 +148,11 @@ impl Handler for MemDivHandler {
     }
 
     fn fork(&self) -> Option<HandlerShard> {
-        let shard = Arc::new(Mutex::new(MemDivState::default()));
-        let parent = self.state.clone();
-        let child = shard.clone();
-        Some(HandlerShard {
-            handler: Box::new(MemDivHandler {
-                state: child,
+        shard::fork(&self.state, |state| {
+            Box::new(MemDivHandler {
+                state,
                 scratch: Scratch::default(),
-            }),
-            join: Box::new(move || parent.lock().merge(&shard.lock())),
+            })
         })
     }
 }
@@ -194,16 +192,7 @@ pub fn run(w: &dyn Workload) -> MemDivStudy {
 /// Runs Case Study II with `cta_jobs` inner worker threads per launch.
 /// Results are byte-identical for any job count.
 pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> MemDivStudy {
-    let state = Arc::new(Mutex::new(MemDivState::default()));
-    let mut sassi = instrumentor(state.clone());
-    let report = execute_with_jobs(w, Some(&mut sassi), None, cta_jobs);
-    assert!(
-        report.output.is_ok(),
-        "{}: {:?}",
-        w.name(),
-        report.output.err()
-    );
-    let st = state.lock();
+    let st: MemDivState = shard::run(w, cta_jobs, instrumentor);
     MemDivStudy {
         name: w.name(),
         pmf: st.pmf().to_vec(),

@@ -7,9 +7,10 @@
 //! (via `atomicAnd`-style accumulation), and whether every write in a
 //! warp carried the same value (scalar detection via `__shfl`/`__all`).
 
+use crate::{shard, Merge};
 use parking_lot::Mutex;
 use sassi::{Handler, HandlerCost, HandlerShard, InfoFlags, Sassi, SiteCtx, SiteFilter};
-use sassi_workloads::{execute_with_jobs, Workload};
+use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,12 +62,11 @@ pub struct ValueState {
     pub instrs: HashMap<u64, InstrProfile>,
 }
 
-impl ValueState {
-    /// Folds another accumulator into this one: weights sum, bit masks
-    /// and scalar flags AND together. `DstProfile::new` starts at the
-    /// AND identity (all-ones masks, scalar), so destinations one side
-    /// never saw merge exactly. All operations are commutative.
-    pub fn merge(&mut self, other: &ValueState) {
+/// Weights sum, bit masks and scalar flags AND together.
+/// `DstProfile::new` starts at the AND identity (all-ones masks,
+/// scalar), so destinations one side never saw merge exactly.
+impl Merge for ValueState {
+    fn merge(&mut self, other: &ValueState) {
         for (addr, prof) in &other.instrs {
             let e = self.instrs.entry(*addr).or_default();
             e.weight += prof.weight;
@@ -144,13 +144,7 @@ impl Handler for ValueHandler {
     }
 
     fn fork(&self) -> Option<HandlerShard> {
-        let shard = Arc::new(Mutex::new(ValueState::default()));
-        let parent = self.state.clone();
-        let child = shard.clone();
-        Some(HandlerShard {
-            handler: Box::new(ValueHandler { state: child }),
-            join: Box::new(move || parent.lock().merge(&shard.lock())),
-        })
+        shard::fork(&self.state, |state| Box::new(ValueHandler { state }))
     }
 }
 
@@ -188,16 +182,7 @@ pub fn run(w: &dyn Workload) -> ValueRow {
 /// Runs Case Study III with `cta_jobs` inner worker threads per
 /// launch. Results are byte-identical for any job count.
 pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> ValueRow {
-    let state = Arc::new(Mutex::new(ValueState::default()));
-    let mut sassi = instrumentor(state.clone());
-    let report = execute_with_jobs(w, Some(&mut sassi), None, cta_jobs);
-    assert!(
-        report.output.is_ok(),
-        "{}: {:?}",
-        w.name(),
-        report.output.err()
-    );
-    let st = state.lock();
+    let st: ValueState = shard::run(w, cta_jobs, instrumentor);
 
     let (mut dyn_cb_num, mut dyn_cb_den) = (0f64, 0f64);
     let (mut dyn_sc_num, mut dyn_sc_den) = (0f64, 0f64);

@@ -132,24 +132,9 @@ pub fn execute(
 /// (the device merges shard results in canonical order).
 pub fn execute_with_jobs(
     w: &dyn Workload,
-    sassi: Option<&mut Sassi>,
-    watchdog: Option<u64>,
-    cta_jobs: usize,
-) -> ExecutionReport {
-    execute_with_opts(w, sassi, watchdog, cta_jobs, None)
-}
-
-/// As [`execute_with_jobs`], additionally pinning the block-stepped
-/// scheduler on or off (`None` keeps the device default, i.e. the
-/// `SASSI_BLOCK_STEP` environment setting). Instruction-derived
-/// results are byte-identical either way; the determinism suite pins
-/// both values to prove it.
-pub fn execute_with_opts(
-    w: &dyn Workload,
     mut sassi: Option<&mut Sassi>,
     watchdog: Option<u64>,
     cta_jobs: usize,
-    block_step: Option<bool>,
 ) -> ExecutionReport {
     let mut mb = ModuleBuilder::new();
     for k in w.kernels() {
@@ -172,9 +157,6 @@ pub fn execute_with_opts(
     };
     let mut rt = Runtime::new(Device::with_defaults());
     rt.device.cta_jobs = cta_jobs.max(1);
-    if let Some(bs) = block_step {
-        rt.device.block_step = bs;
-    }
     if let Some(wd) = watchdog {
         rt.watchdog_cycles = wd;
     }

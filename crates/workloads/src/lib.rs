@@ -27,8 +27,8 @@ pub mod rodinia;
 mod registry;
 
 pub use harness::{
-    execute, execute_with_jobs, execute_with_opts, verify_golden, ExecutionReport, RunFailure,
-    Workload, WorkloadOutput,
+    execute, execute_with_jobs, verify_golden, ExecutionReport, RunFailure, Workload,
+    WorkloadOutput,
 };
 pub use registry::{
     all_workloads, by_name, fig10_set, fig7_set, table1_set, table2_set, table3_set,
