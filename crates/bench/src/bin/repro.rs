@@ -5,13 +5,12 @@
 //! value, including 1.
 
 use sassi_bench::exec::{default_jobs, Timing};
-use sassi_bench::{campaigns, hotloop as hotloop_cmp, save_json};
+use sassi_bench::{campaigns, save_json};
 use sassi_studies::report;
 
-const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|ablation-stub|ablation-spill|hotloop|all]
-  --jobs N     worker threads per sweep (default: SASSI_JOBS or available parallelism)
-  fig10 runs   injections per workload (positive integer, default 150)
-  hotloop      decoded interpreter timing (serial, CTA-parallel, instrumented) -> results/timings/sim_hot_loop.json";
+const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|ablation-stub|ablation-spill|all]
+  --jobs N     worker threads per sweep (default: available parallelism)
+  fig10 runs   injections per workload (positive integer, default 150)";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("repro: {msg}");
@@ -135,10 +134,6 @@ fn main() {
             no_args(&cli);
             ablation_spill(cli.jobs);
         }
-        "hotloop" => {
-            no_args(&cli);
-            hotloop(cli.jobs);
-        }
         "all" => {
             no_args(&cli);
             table1(cli.jobs);
@@ -242,48 +237,6 @@ fn ablation_stub(jobs: usize) {
     );
     save_json("ablation_stub", &rows);
     report_timing("ablation-stub", &timing);
-}
-
-fn hotloop(jobs: usize) {
-    // Not part of `all`: it re-runs workloads purely for timing, and
-    // `all`'s wall time is itself a tracked perf artifact.
-    let report = hotloop_cmp::compare(jobs);
-    println!("Hot-loop comparison: decoded interpreter, serial vs CTA-parallel vs instrumented");
-    println!(
-        "  workloads: {} | jobs={} | {} warp instrs ({} thread instrs)",
-        report.workloads.join(", "),
-        report.jobs,
-        report.decoded.warp_instrs,
-        report.decoded.thread_instrs
-    );
-    for (label, run) in [
-        ("decoded", &report.decoded),
-        ("parallel", &report.parallel),
-        ("instrumented", &report.instrumented),
-    ] {
-        println!(
-            "  {label:<12} {:>7.2} s busy ({:>6.2} s wall) — {:.0} warp instrs/s",
-            run.busy_s, run.wall_s, run.instrs_per_s
-        );
-    }
-    println!(
-        "  parallel speedup: {:.2}x (decoded serial wall / CTA-parallel wall, {} shard workers)",
-        report.parallel_speedup, report.jobs
-    );
-    println!(
-        "  instrumented overhead: {:.2}x wall vs native decoded (branch study, {} handler calls)",
-        report.instrumented_overhead, report.handler_calls
-    );
-    let i = &report.issue;
-    let total = (i.memory + i.control + i.numeric + i.misc).max(1);
-    println!(
-        "  issue classes: memory {:.0}% | control {:.0}% | numeric {:.0}% | misc {:.0}%",
-        100.0 * i.memory as f64 / total as f64,
-        100.0 * i.control as f64 / total as f64,
-        100.0 * i.numeric as f64 / total as f64,
-        100.0 * i.misc as f64 / total as f64
-    );
-    save_json("timings/sim_hot_loop", &report);
 }
 
 fn ablation_spill(jobs: usize) {

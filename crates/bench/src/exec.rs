@@ -36,17 +36,8 @@ const _: () = {
 };
 
 /// Number of workers to use when the user gave no `--jobs`: the
-/// `SASSI_JOBS` environment variable if set to a positive integer,
-/// otherwise the machine's available parallelism.
+/// machine's available parallelism.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("SASSI_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring SASSI_JOBS=`{v}` (want a positive integer)");
-    }
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 

@@ -13,7 +13,6 @@
 //! repro table3          # instrumentation overheads (Table 3)
 //! repro ablation-stub   # §9.1 stub-handler ablation
 //! repro ablation-spill  # liveness-driven vs save-everything spills
-//! repro hotloop         # decoded-vs-reference interpreter comparison
 //! repro all             # everything above
 //! ```
 //!
@@ -25,7 +24,6 @@
 
 pub mod campaigns;
 pub mod exec;
-pub mod hotloop;
 
 use serde::Serialize;
 use std::path::Path;

@@ -11,10 +11,8 @@
 
 use crate::params::{BeforeParamsView, CondBranchParamsView, MemoryParamsView, RegisterParamsView};
 use crate::spec::{InfoFlags, InstPoint};
-use parking_lot::Mutex;
 use sassi_isa::Lanes;
 use sassi_sim::{HandlerCost, TrapCtx};
-use std::sync::Arc;
 
 /// Per-site context handed to handlers.
 pub struct SiteCtx<'a, 'c> {
@@ -128,19 +126,6 @@ impl<H: Handler + ?Sized> Handler for Box<H> {
 
     fn fork(&self) -> Option<HandlerShard> {
         (**self).fork()
-    }
-}
-
-/// Shared-state registration: lets the experiment keep an
-/// `Arc<Mutex<H>>` to read results after the run while the registry
-/// drives the same handler during it.
-impl<H: Handler> Handler for Arc<Mutex<H>> {
-    fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
-        self.lock().handle(ctx)
-    }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        self.lock().fork()
     }
 }
 

@@ -5,20 +5,10 @@ use crate::handler::{Handler, SiteCtx};
 use crate::pass;
 use crate::spec::{HandlerRef, InfoFlags, InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
 use sassi_isa::Function;
-use sassi_sim::{HandlerCost, HandlerRuntime, RuntimeShard, TrapCtx, TrapRef, TrapSite};
+use sassi_sim::{HandlerCost, HandlerRuntime, RuntimeShard, TrapCtx, TrapRef};
 
 struct NativeEntry {
     handler: Box<dyn Handler>,
-    what: InfoFlags,
-    point: InstPoint,
-}
-
-/// One bound trap site's pre-resolved dispatch state: the native
-/// handler index plus the two `SiteCtx` fields, copied out of the
-/// `NativeEntry` once at bind time instead of on every trap.
-#[derive(Clone, Copy)]
-struct SiteSlot {
-    native: u32,
     what: InfoFlags,
     point: InstPoint,
 }
@@ -54,13 +44,6 @@ pub struct Sassi {
     specs: Vec<InstrumentSpec>,
     natives: Vec<NativeEntry>,
     policy: SpillPolicy,
-    /// Decode-resolved dispatch table for the currently bound module
-    /// (`bind_sites`), indexed by `TrapRef::site`. Rebuilt only when
-    /// the bound site table actually changes; relaunches of the same
-    /// module reuse it untouched.
-    slots: Vec<SiteSlot>,
-    /// The site table `slots` was built from, for change detection.
-    bound: Vec<TrapSite>,
 }
 
 impl Sassi {
@@ -150,26 +133,13 @@ impl Sassi {
 }
 
 impl HandlerRuntime for Sassi {
+    /// Dispatches to the native handler the `JCAL handlerN` names —
+    /// the handler chosen at instrumentation time, as in the paper's
+    /// Figure 2(a). An id no handler was registered under costs
+    /// nothing.
     fn handle(&mut self, trap_ref: TrapRef, trap: &mut TrapCtx<'_>) -> HandlerCost {
-        // Fast path: indexed dispatch through the decode-resolved slot
-        // table — two `Copy` reads, no per-trap spec resolution.
-        let entry = match self.slots.get(trap_ref.site as usize) {
-            Some(slot) => {
-                let (point, what) = (slot.point, slot.what);
-                return match self.natives.get_mut(slot.native as usize) {
-                    Some(entry) => {
-                        let mut ctx = SiteCtx { trap, point, what };
-                        entry.handler.handle(&mut ctx)
-                    }
-                    None => HandlerCost::FREE,
-                };
-            }
-            // No bound table (a direct `handle` call outside a launch):
-            // fall back to resolving the raw handler id.
-            None => match self.natives.get_mut(trap_ref.handler as usize) {
-                Some(entry) => entry,
-                None => return HandlerCost::FREE,
-            },
+        let Some(entry) = self.natives.get_mut(trap_ref.handler as usize) else {
+            return HandlerCost::FREE;
         };
         let mut ctx = SiteCtx {
             trap,
@@ -177,31 +147,6 @@ impl HandlerRuntime for Sassi {
             what: entry.what,
         };
         entry.handler.handle(&mut ctx)
-    }
-
-    /// Pre-resolves the module's trap sites into the slot table. A
-    /// repeat bind with an unchanged table (every relaunch of the same
-    /// module) is a length-check plus `memcmp` — no allocation.
-    fn bind_sites(&mut self, sites: &[TrapSite]) {
-        if self.bound == sites {
-            return;
-        }
-        self.slots.clear();
-        self.slots.extend(sites.iter().map(|s| {
-            let (what, point) = match self.natives.get(s.handler as usize) {
-                Some(e) => (e.what, e.point),
-                // A site naming an unknown handler dispatches FREE at
-                // trap time via the out-of-range native index.
-                None => (InfoFlags::NONE, InstPoint::Before),
-            };
-            SiteSlot {
-                native: s.handler,
-                what,
-                point,
-            }
-        }));
-        self.bound.clear();
-        self.bound.extend_from_slice(sites);
     }
 
     /// Forks the whole instrumentor for one SM shard: every native
@@ -220,14 +165,10 @@ impl HandlerRuntime for Sassi {
             });
             joins.push(shard.join);
         }
-        // Forked runtimes start unbound; the device binds each one to
-        // the launching module's site table before running its shard.
         let forked = Sassi {
             specs: self.specs.clone(),
             natives,
             policy: self.policy,
-            slots: Vec::new(),
-            bound: Vec::new(),
         };
         Some(RuntimeShard {
             runtime: Box::new(forked),

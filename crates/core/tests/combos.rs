@@ -1,12 +1,16 @@
 //! Instrumentation combinations: multiple specs on one site, before +
 //! after together, kernel-exit sites, instrumenting register-capped
-//! (spill-heavy) kernels, and sites whose original instruction is
-//! predicated off for every lane.
+//! (spill-heavy) kernels, sites whose original instruction is
+//! predicated off for every lane, and traps naming a handler id that
+//! was never registered.
 
 use parking_lot::Mutex;
-use sassi::{FnHandler, InfoFlags, InstPoint, Sassi, SiteFilter};
+use sassi::{
+    FnHandler, Handler, HandlerCost, HandlerShard, InfoFlags, InstPoint, Sassi, SiteCtx, SiteFilter,
+};
+use sassi_isa::{FunctionMeta, Instr, Label, Op};
 use sassi_kir::{Compiler, KernelBuilder};
-use sassi_sim::{Device, LaunchDims, Module};
+use sassi_sim::{Device, ExecMode, LaunchDims, Module};
 use std::sync::Arc;
 
 fn run(func: sassi_isa::Function, sassi: &mut Sassi, out_words: u64) -> (Vec<u32>, u64) {
@@ -300,4 +304,96 @@ fn bb_headers_instrument_every_block() {
         "hits {} < headers {n_headers}",
         hits.lock()
     );
+}
+
+const POINT_COUNTER_COST: HandlerCost = HandlerCost {
+    instructions: 10,
+    memory_ops: 0,
+    atomics: 0,
+};
+
+/// Records the site point of every visit. Forks into a handler sharing
+/// the same log (counting the forks), so CTA-parallel launches run
+/// forked instrumentors too.
+struct PointCounter {
+    visits: Arc<Mutex<Vec<InstPoint>>>,
+    forks: Arc<Mutex<u32>>,
+}
+
+impl Handler for PointCounter {
+    fn handle(&mut self, site: &mut SiteCtx<'_, '_>) -> HandlerCost {
+        self.visits.lock().push(site.point);
+        POINT_COUNTER_COST
+    }
+
+    fn fork(&self) -> Option<HandlerShard> {
+        *self.forks.lock() += 1;
+        Some(HandlerShard {
+            handler: Box::new(PointCounter {
+                visits: self.visits.clone(),
+                forks: self.forks.clone(),
+            }),
+            join: Box::new(|| {}),
+        })
+    }
+}
+
+#[test]
+fn traps_dispatch_by_the_handler_id_the_jcal_names() {
+    // A hand-written kernel calling a registered handler (id 0) and an
+    // id nothing was registered under (5).
+    let jcal = |h| {
+        Instr::new(Op::Jcal {
+            target: Label::Handler(h),
+        })
+    };
+    let func = sassi_isa::Function::new(
+        "k",
+        vec![jcal(0), jcal(5), Instr::new(Op::Exit)],
+        FunctionMeta::default(),
+    );
+    let module = Module::link(&[func]).unwrap();
+    let dims = LaunchDims::linear(4, 64);
+    let warps = 4 * 2;
+    for mode in [ExecMode::Decoded, ExecMode::Reference] {
+        for jobs in [1, 2] {
+            let visits = Arc::new(Mutex::new(Vec::new()));
+            let forks = Arc::new(Mutex::new(0));
+            let mut sassi = Sassi::new();
+            let id = sassi.on_after(
+                SiteFilter::REG_WRITES,
+                InfoFlags::NONE,
+                Box::new(PointCounter {
+                    visits: visits.clone(),
+                    forks: forks.clone(),
+                }),
+            );
+            assert_eq!(id, 0);
+            let mut dev = Device::with_defaults();
+            dev.exec_mode = mode;
+            dev.cta_jobs = jobs;
+            let res = dev
+                .launch(&module, "k", dims, &[], &mut sassi, 0, 1 << 30)
+                .unwrap();
+            assert!(res.is_ok(), "{mode:?} jobs={jobs}: {:?}", res.outcome);
+            assert_eq!(*forks.lock() > 0, jobs > 1, "parallel launches fork");
+            let visits = visits.lock();
+            assert_eq!(
+                visits.len(),
+                warps,
+                "{mode:?} jobs={jobs}: one visit per warp"
+            );
+            assert!(visits.iter().all(|p| *p == InstPoint::After));
+            assert_eq!(
+                res.stats.handler_calls,
+                2 * warps as u64,
+                "both traps count"
+            );
+            assert_eq!(
+                res.stats.handler_cycles,
+                warps as u64 * POINT_COUNTER_COST.cycles(),
+                "{mode:?} jobs={jobs}: the unknown id costs nothing"
+            );
+        }
+    }
 }

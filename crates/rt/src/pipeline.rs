@@ -98,7 +98,7 @@ impl ModuleBuilder {
     /// Compiles everything, applies `sassi` to the kernels (not to
     /// handlers), and links. The linked module comes back pre-decoded:
     /// `Module::link` lowers the instruction stream into the flat µop
-    /// array (and trap-site bitmap) the simulator's hot loop executes,
+    /// array (and trap-site table) the simulator's hot loop executes,
     /// so no launch ever pays a decode cost.
     ///
     /// # Errors
@@ -130,8 +130,8 @@ impl ModuleBuilder {
     /// Per-function instrumentation density of a built module: for each
     /// linked function, `(name, trap_sites, instructions)` — how many
     /// of its instructions were rewritten into handler trap sites by
-    /// the SASSI pass. Read from the decode stage's trap-site bitmap,
-    /// so it costs no instruction scan.
+    /// the SASSI pass. Read from the decode stage's sorted trap-site
+    /// table, so it costs no instruction scan.
     pub fn instrumentation_density(module: &Module) -> Vec<(String, u32, u32)> {
         let decoded = module.decoded();
         module

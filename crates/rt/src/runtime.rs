@@ -109,7 +109,7 @@ impl Runtime {
     }
 
     /// Sets how many worker threads execute the CTA shards of each
-    /// launch (the inner half of the `SASSI_JOBS` budget). Launch
+    /// launch (the inner half of a sweep's `--jobs` budget). Launch
     /// results are byte-identical for any value; `1` (the default)
     /// runs shards sequentially on the calling thread.
     pub fn set_cta_jobs(&mut self, jobs: usize) -> &mut Runtime {

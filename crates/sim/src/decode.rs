@@ -22,10 +22,11 @@
 //! * the ALU dependence latency and the [`IssueClass`] are
 //!   precomputed into header bytes;
 //! * instrumentation trap sites (`JCAL handlerN`) are recorded in a
-//!   per-module bitmap, so SASSI's *selective instrumentation*
-//!   property — uninstrumented instructions pay nothing — holds for
-//!   the interpreter too, and tooling can query instrumentation
-//!   density per function without rescanning instructions.
+//!   per-module site table sorted by pc, so SASSI's *selective
+//!   instrumentation* property — uninstrumented instructions pay
+//!   nothing — holds for the interpreter too, and tooling can query
+//!   instrumentation density per function without rescanning
+//!   instructions.
 //!
 //! The original `Instr` array stays on the [`Module`] solely for
 //! traps, disassembly and error reporting.
@@ -137,8 +138,7 @@ pub enum UOp {
         target: u32,
     },
     /// `JCAL` into a native instrumentation handler (a SASSI trap
-    /// site; these are the bits set in the module's trap bitmap).
-    /// `site` indexes the module's decode-time site table
+    /// site). `site` indexes the module's decode-time site table
     /// ([`DecodedModule::sites`]), assigned in pc order.
     Trap {
         handler: u32,
@@ -365,22 +365,16 @@ impl DecodedInstr {
 /// One instrumentation trap site, resolved once at decode time.
 ///
 /// Site indices are assigned in ascending pc order, so `sites[i].pc`
-/// is sorted — [`DecodedModule::site_at`] binary-searches it. Handler
-/// runtimes receive this table via `HandlerRuntime::bind_sites` before
-/// a launch issues any trap, letting them pre-resolve per-site dispatch
-/// state instead of re-deriving it on every trap.
+/// is sorted — [`DecodedModule::site_at`] and
+/// [`DecodedModule::trap_sites_in`] binary-search it. Handler runtimes
+/// receive this table via `HandlerRuntime::bind_sites` before a launch
+/// issues any trap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrapSite {
     /// The absolute pc of the `JCAL handlerN` µop.
     pub pc: u32,
     /// The native handler id the site calls.
     pub handler: u32,
-    /// Cached trampoline save/restore cost: the spill-flagged GPR
-    /// stores before the call plus the spill-flagged loads after it,
-    /// bounded by the trampoline's own stack push/pop so surrounding
-    /// program spills are not miscounted. Hand-written `JCAL handlerN`
-    /// sites without an enclosing trampoline frame count 0.
-    pub save_restore: u32,
 }
 
 /// One maximal straight-line run of µops: pcs `start..end` with the
@@ -418,8 +412,8 @@ impl BasicBlock {
 /// barrier (`BAR.SYNC`, which can suspend the warp), or a decode-time
 /// defect (`Invalid`, a guaranteed fetch fault). Instrumentation
 /// traps (`UOp::Trap`) deliberately do **not** end blocks: dispatch
-/// is two `Copy` reads plus a handler call and always resumes at
-/// `pc + 1`, so straight-line runs flow through trap sites.
+/// is one indexed handler call and always resumes at `pc + 1`, so
+/// straight-line runs flow through trap sites.
 #[inline(always)]
 pub fn is_block_boundary(uop: &UOp) -> bool {
     matches!(
@@ -436,13 +430,10 @@ pub fn is_block_boundary(uop: &UOp) -> bool {
 }
 
 /// The pre-decoded form of a linked module: the flat µop array, the
-/// trap-site bitmap, the resolved trap-site table and the basic-block
-/// table.
+/// resolved trap-site table and the basic-block table.
 #[derive(Clone, Debug)]
 pub struct DecodedModule {
     code: Vec<DecodedInstr>,
-    /// Bit `pc` set iff `code[pc]` traps into a native handler.
-    trap_bits: Vec<u64>,
     /// Trap sites in ascending pc order; `UOp::Trap::site` indexes this.
     sites: Vec<TrapSite>,
     /// Basic blocks in ascending pc order; a partition of `0..len()`.
@@ -463,7 +454,6 @@ impl DecodedModule {
     pub fn decode(module: &Module) -> DecodedModule {
         let n = module.code.len();
         let mut code = Vec::with_capacity(n);
-        let mut trap_bits = vec![0u64; n.div_ceil(64)];
         let mut sites = Vec::new();
         let mut consuming_global_atomics = false;
         for (pc, ins) in module.code.iter().enumerate() {
@@ -473,9 +463,7 @@ impl DecodedModule {
                 sites.push(TrapSite {
                     pc: pc as u32,
                     handler: *handler,
-                    save_restore: save_restore_at(&module.code, pc),
                 });
-                trap_bits[pc / 64] |= 1 << (pc % 64);
             }
             if let UOp::Atom { d, op, addr, .. } = di.uop {
                 let global = matches!(addr.space, AddrSpace::Global | AddrSpace::Generic);
@@ -488,7 +476,6 @@ impl DecodedModule {
         let (blocks, block_idx) = build_blocks(&code);
         DecodedModule {
             code,
-            trap_bits,
             sites,
             blocks,
             block_idx,
@@ -521,13 +508,6 @@ impl DecodedModule {
     /// Whether the module has no code.
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
-    }
-
-    /// Whether the instruction at `pc` traps into an instrumentation
-    /// handler.
-    pub fn is_trap_site(&self, pc: u32) -> bool {
-        let pc = pc as usize;
-        pc < self.code.len() && self.trap_bits[pc / 64] & (1 << (pc % 64)) != 0
     }
 
     /// Total instrumentation trap sites in the module.
@@ -584,15 +564,9 @@ impl DecodedModule {
     /// Trap sites within `[entry, end)` — pass a `LinkedFunction`'s
     /// range to get per-function instrumentation density.
     pub fn trap_sites_in(&self, entry: u32, end: u32) -> u32 {
-        let end = (end as usize).min(self.code.len());
-        let entry = (entry as usize).min(end);
-        let mut count = 0u32;
-        for pc in entry..end {
-            if self.trap_bits[pc / 64] & (1 << (pc % 64)) != 0 {
-                count += 1;
-            }
-        }
-        count
+        let lo = self.sites.partition_point(|s| s.pc < entry);
+        let hi = self.sites.partition_point(|s| s.pc < end);
+        hi.saturating_sub(lo) as u32
     }
 }
 
@@ -618,50 +592,6 @@ fn build_blocks(code: &[DecodedInstr]) -> (Vec<BasicBlock>, Vec<u32>) {
         }
     }
     (blocks, block_idx)
-}
-
-/// Counts the trampoline save/restore instructions around the trap at
-/// `pc`: spill-flagged stores between the trampoline's stack push
-/// (`IADD SP, SP, -frame`) and the call, plus spill-flagged loads
-/// between the call and the stack pop. Scans are bounded by the
-/// enclosing push/pop (and by any other call), so register-allocator
-/// spills elsewhere in the function are never attributed to the site;
-/// a `JCAL handlerN` with no enclosing frame counts 0.
-fn save_restore_at(code: &[Instr], pc: usize) -> u32 {
-    let sp_adjust = |op: &Op, downward: bool| {
-        matches!(op, Op::IAdd { d, a, b: Src::Imm(v), .. }
-            if *d == Gpr::SP && *a == Gpr::SP && ((*v as i32) < 0) == downward)
-    };
-    let mut saves = 0u32;
-    let mut pushed = false;
-    for ins in code[..pc].iter().rev() {
-        if sp_adjust(&ins.op, true) {
-            pushed = true;
-            break;
-        }
-        if matches!(ins.op, Op::Jcal { .. }) {
-            break;
-        }
-        if matches!(ins.op, Op::St { spill: true, .. }) {
-            saves += 1;
-        }
-    }
-    if !pushed {
-        return 0;
-    }
-    let mut fills = 0u32;
-    for ins in &code[pc + 1..] {
-        if sp_adjust(&ins.op, false) {
-            return saves + fills;
-        }
-        if matches!(ins.op, Op::Jcal { .. }) {
-            break;
-        }
-        if matches!(ins.op, Op::Ld { spill: true, .. }) {
-            fills += 1;
-        }
-    }
-    0
 }
 
 /// Lowers a branch-style target: `code_len` is the exclusive upper
@@ -1058,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn trap_bitmap_marks_handler_calls() {
+    fn trap_site_table_marks_handler_calls() {
         let m = module_of(vec![
             Instr::new(Op::Nop),
             Instr::new(Op::Jcal {
@@ -1072,14 +1002,23 @@ mod tests {
         ]);
         let d = m.decoded();
         assert_eq!(d.trap_count(), 2);
-        assert!(!d.is_trap_site(0));
-        assert!(d.is_trap_site(1));
-        assert!(d.is_trap_site(3));
-        assert!(!d.is_trap_site(4));
-        assert!(!d.is_trap_site(1000));
+        assert_eq!(
+            d.sites(),
+            [
+                TrapSite { pc: 1, handler: 7 },
+                TrapSite { pc: 3, handler: 2 }
+            ]
+        );
+        assert_eq!(d.site_at(0), None);
+        assert_eq!(d.site_at(1), Some(0));
+        assert_eq!(d.site_at(3), Some(1));
+        assert_eq!(d.site_at(4), None);
+        assert_eq!(d.site_at(1000), None);
         assert_eq!(d.trap_sites_in(0, 5), 2);
         assert_eq!(d.trap_sites_in(2, 5), 1);
         assert_eq!(d.trap_sites_in(0, 1), 0);
+        assert_eq!(d.trap_sites_in(4, 2), 0);
+        assert_eq!(d.trap_sites_in(0, 1000), 2);
     }
 
     #[test]

@@ -227,9 +227,8 @@ impl Device {
             .map(|s| (s..total).step_by(num_shards).collect())
             .collect();
         let decoded = module.decoded();
-        // Let the runtime pre-resolve per-site dispatch state once per
-        // launch, before any trap fires (forked shard runtimes are
-        // bound below, after forking).
+        // Hand the runtime the module's site table before any trap
+        // fires (forked shard runtimes are bound below, after forking).
         runtime.bind_sites(decoded.sites());
         let env = ShardEnv {
             cfg: &self.cfg,
@@ -782,26 +781,6 @@ impl Exec<'_> {
         }
     }
 
-    /// Reads 4 bytes of the bank-0 constant image (out-of-image reads
-    /// return 0, matching hardware's zero-backed tail).
-    #[inline(always)]
-    fn c0_read(&self, offset: u16) -> u32 {
-        c0_read_img(self.cbank, offset)
-    }
-
-    /// Resolves a pre-decoded operand for this warp-step: constants
-    /// and immediates become values here, once; only registers remain
-    /// per-lane work.
-    #[inline(always)]
-    fn rsrc(&self, s: DSrc) -> RSrc {
-        rsrc_c(self.cbank, s)
-    }
-
-    /// Guard evaluation from the packed guard byte.
-    fn guard_mask_decoded(&self, w: &Warp, g: u8) -> LaneMask {
-        guard_mask(w, g)
-    }
-
     /// The pre-decoded hot loop: executes one µop with no allocation,
     /// no `Instr` clone and no operand re-matching.
     fn step_decoded(&mut self, wi: usize) -> Result<(), FaultKind> {
@@ -813,7 +792,7 @@ impl Exec<'_> {
         let Some(di) = dm.get(pc) else {
             return Err(FaultKind::InvalidPc { pc: pc as u64 });
         };
-        let mask = self.guard_mask_decoded(&self.warps[wi], di.guard);
+        let mask = guard_mask(&self.warps[wi], di.guard);
         self.stats.warp_instrs += 1;
         self.stats.thread_instrs += mask.count_ones() as u64;
         self.stats.issue.bump(di.class);
@@ -926,7 +905,7 @@ impl Exec<'_> {
 
             // ---- memory -----------------------------------------------------
             UOp::Ld { d, width, addr } => {
-                self.mem_load(wi, mask, d, width, &addr, false)?;
+                self.mem_load(wi, mask, d, width, &addr)?;
                 self.warps[wi].pc += 1;
                 return Ok(());
             }
@@ -989,7 +968,7 @@ impl Exec<'_> {
                 b,
                 p_out,
             } => {
-                let b = self.rsrc(b);
+                let b = rsrc_c(self.cbank, b);
                 let w = &mut self.warps[wi];
                 let mut snapshot = [0u32; 32];
                 for (l, s) in snapshot.iter_mut().enumerate() {
@@ -1424,7 +1403,6 @@ impl Exec<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn mem_load(
         &mut self,
         wi: usize,
@@ -1432,13 +1410,17 @@ impl Exec<'_> {
         d: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-        _texture: bool,
     ) -> Result<(), FaultKind> {
         let bytes = width.bytes();
         // The address space is a static property of the instruction
         // (only `Generic` resolves per lane), so dispatch on it once
         // and run a specialized per-lane loop — trampoline spills and
         // fills (`STL`/`LDL`) live entirely on the `Local` fast path.
+        // Keep these arms separate from the general per-lane loop
+        // below: folding them into it cost the instrumented perfbench
+        // workloads about a third of their throughput (10–20% even
+        // with the loop forced inline), because every trampoline
+        // spill then pays the per-lane space resolution.
         match addr.space {
             AddrSpace::Local => {
                 let mut m = mask;
@@ -1554,8 +1536,9 @@ impl Exec<'_> {
         addr: &MemAddr,
     ) -> Result<(), FaultKind> {
         let bytes = width.bytes();
-        // Static-space fast paths, as in `mem_load`: trampoline GPR
-        // saves (`STL`) take the `Local` arm.
+        // Static-space fast paths, as in `mem_load` (and kept separate
+        // for the same reason): trampoline GPR saves (`STL`) take the
+        // `Local` arm.
         match addr.space {
             AddrSpace::Local => {
                 let mut m = mask;

@@ -17,7 +17,7 @@ impl Exec<'_> {
         if bank != 0 {
             return 0;
         }
-        self.c0_read(offset)
+        c0_read_img(self.cbank, offset)
     }
 
     fn src_val(&self, w: &Warp, lane: usize, s: &Src) -> u32 {
@@ -179,13 +179,8 @@ impl Exec<'_> {
             }
 
             // ---- memory -----------------------------------------------------
-            Op::Ld { d, width, addr, .. } => {
-                self.mem_load(wi, mask, *d, *width, addr, false)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
-            }
-            Op::Tld { d, width, addr } => {
-                self.mem_load(wi, mask, *d, *width, addr, true)?;
+            Op::Ld { d, width, addr, .. } | Op::Tld { d, width, addr } => {
+                self.mem_load(wi, mask, *d, *width, addr)?;
                 self.warps[wi].pc += 1;
                 return Ok(());
             }

@@ -253,10 +253,9 @@ pub struct RuntimeShard {
     pub join: Box<dyn FnOnce() + Send>,
 }
 
-/// The identity of the trap site being dispatched: the decode-time
-/// site index (into the table passed to
-/// [`HandlerRuntime::bind_sites`]) plus the raw handler id from the
-/// `JCAL`, for runtimes that have not bound a site table.
+/// The identity of the trap being dispatched: the native handler id
+/// the `JCAL handlerN` names — what runtimes dispatch on — plus the
+/// decode-time site index, for runtimes that attribute traps to sites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrapRef {
     /// Index into the launch module's [`TrapSite`] table.
@@ -273,10 +272,9 @@ pub trait HandlerRuntime {
 
     /// Called once per launch (and once per forked shard runtime),
     /// before any trap is dispatched, with the launching module's
-    /// decode-time site table. Runtimes can pre-resolve per-site
-    /// dispatch state here; `TrapRef::site` indexes the bound table.
-    /// The default does nothing — runtimes that dispatch on
-    /// `TrapRef::handler` alone need no table.
+    /// decode-time site table; `TrapRef::site` indexes it. The default
+    /// does nothing: dispatch needs only `TrapRef::handler`. Wrapping
+    /// runtimes delegate it so a wrapped runtime sees the same table.
     fn bind_sites(&mut self, _sites: &[TrapSite]) {}
 
     /// Forks a shard-local runtime for one SM shard of a CTA-parallel

@@ -68,18 +68,23 @@ impl Handler for ProfileHandler {
     }
 }
 
-/// Runs the profiling pass; also returns the instrumented run's total
-/// kernel cycles (used to scale the hang watchdog).
-pub fn profile(w: &dyn Workload) -> (InjectionSpace, u64) {
-    let state = Arc::new(Mutex::new(InjectionSpace::default()));
+/// The profiling pass's instrumentor: after every injection
+/// candidate, count the executing lanes into `state`.
+pub(crate) fn profile_instrumentor(state: Arc<Mutex<InjectionSpace>>) -> Sassi {
     let mut sassi = Sassi::new();
     sassi.on_after(
         injection_filter(),
         InfoFlags::REGISTERS,
-        Box::new(ProfileHandler {
-            state: state.clone(),
-        }),
+        Box::new(ProfileHandler { state }),
     );
+    sassi
+}
+
+/// Runs the profiling pass; also returns the instrumented run's total
+/// kernel cycles (used to scale the hang watchdog).
+pub fn profile(w: &dyn Workload) -> (InjectionSpace, u64) {
+    let state = Arc::new(Mutex::new(InjectionSpace::default()));
+    let mut sassi = profile_instrumentor(state.clone());
     let report = execute(w, Some(&mut sassi), None);
     assert!(report.output.is_ok(), "{}: profile run failed", w.name());
     let space = state.lock().clone();
@@ -160,8 +165,6 @@ struct InjectHandler {
     site: InjectionSite,
     counter: u64,
     done: bool,
-    /// What was injected, for reporting.
-    injected: Arc<Mutex<Option<String>>>,
 }
 
 impl Handler for InjectHandler {
@@ -217,14 +220,12 @@ impl Handler for InjectHandler {
             return cost;
         }
         let choice = kinds[rng.gen_range(0..nk)];
-        let what;
         if choice < 100 {
             // Flip one random bit of a 32-bit GPR destination.
             let reg = rp.reg_num(ctx.trap, choice) as u8;
             let bit: u32 = rng.gen_range(0..32);
             let old = ctx.trap.reg(lane, Gpr::new(reg));
             ctx.trap.set_reg(lane, Gpr::new(reg), old ^ (1 << bit));
-            what = format!("R{reg} bit {bit} lane {lane}");
         } else if choice < 200 {
             // Flip the written predicate bit.
             let idx = choice - 100;
@@ -242,13 +243,10 @@ impl Handler for InjectHandler {
             let p = sassi_isa::PredReg::new(target);
             let old = ctx.trap.pred(lane, p);
             ctx.trap.set_pred(lane, p, !old);
-            what = format!("P{target} lane {lane}");
         } else {
             let old = ctx.trap.cc(lane);
             ctx.trap.set_cc(lane, !old);
-            what = format!("CC lane {lane}");
         }
-        *self.injected.lock() = Some(what);
         cost
     }
 }
@@ -331,7 +329,6 @@ impl InjectionCampaign {
 
 /// Runs one injection and categorizes the outcome.
 pub fn run_one(w: &dyn Workload, site: InjectionSite, watchdog: u64) -> Outcome {
-    let injected = Arc::new(Mutex::new(None));
     let mut sassi = Sassi::new();
     sassi.on_after(
         injection_filter(),
@@ -340,7 +337,6 @@ pub fn run_one(w: &dyn Workload, site: InjectionSite, watchdog: u64) -> Outcome 
             site,
             counter: 0,
             done: false,
-            injected,
         }),
     );
     let report = execute(w, Some(&mut sassi), Some(watchdog));

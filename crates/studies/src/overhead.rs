@@ -63,24 +63,7 @@ impl StudyConfig {
             }
             StudyConfig::ErrorInjection => {
                 // The profiling pass of Case Study IV.
-                let state = Arc::new(Mutex::new(inject::InjectionSpace::default()));
-                let mut s = Sassi::new();
-                let st = state;
-                s.on_after(
-                    SiteFilter::REG_WRITES | SiteFilter::PRED_WRITES,
-                    InfoFlags::REGISTERS,
-                    Box::new(FnHandler::new(
-                        sassi::HandlerCost {
-                            instructions: 8,
-                            memory_ops: 0,
-                            atomics: 1,
-                        },
-                        move |_| {
-                            let _ = &st;
-                        },
-                    )),
-                );
-                s
+                inject::profile_instrumentor(Arc::new(Mutex::new(Default::default())))
             }
             StudyConfig::StubValueSites => {
                 let mut s = Sassi::new();

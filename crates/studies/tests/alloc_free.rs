@@ -3,12 +3,12 @@
 //! The launch machinery performs a small, fixed number of heap
 //! allocations per launch (shard queues, the constant bank, journal
 //! growth) — identically for native and instrumented modules of the
-//! same geometry. Traps must contribute *zero* on top: site dispatch is
-//! indexed through the decode-resolved slot table, lane iteration is a
-//! mask walk, and the study handlers reuse scratch capacity. So a
-//! steady-state instrumented relaunch must allocate exactly as much as
-//! a native relaunch — and warp contexts must come from the recycled
-//! pool.
+//! same geometry. Traps must contribute *zero* on top: dispatch indexes
+//! the instrumentor's handler list by the id the `JCAL` names, lane
+//! iteration is a mask walk, and the study handlers reuse scratch
+//! capacity. So a steady-state instrumented relaunch must allocate
+//! exactly as much as a native relaunch — and warp contexts must come
+//! from the recycled pool.
 //!
 //! This file holds a single `#[test]` on purpose: the counting
 //! allocator is process-global, and a sibling test running concurrently
