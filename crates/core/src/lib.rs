@@ -76,7 +76,7 @@ pub use params::{
     layout, BeforeParamsView, CondBranchParamsView, MemoryDomain, MemoryParamsView,
     RegisterParamsView,
 };
-pub use pass::{count_sites, instrument, instrument_with_policy, planned_spills};
+pub use pass::planned_spills;
 pub use sassi::Sassi;
 pub use spec::{HandlerRef, InfoFlags, InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
 

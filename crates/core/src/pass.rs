@@ -9,14 +9,14 @@
 use crate::spec::{InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
 use crate::trampoline::{emit, Site};
 use sassi_isa::{Function, FunctionMeta, Instr, Label, Op, RegSet};
-use sassi_kir::sasslive;
+use sassi_kir::{sasslive, Cfg};
 use std::collections::BTreeMap;
 
 fn is_exit(ins: &Instr) -> bool {
     matches!(ins.op, Op::Exit)
 }
 
-fn matches_before(spec: &InstrumentSpec, ins: &Instr, pc: u32, f: &Function) -> bool {
+fn matches_before(spec: &InstrumentSpec, ins: &Instr, pc: usize, cfg: &Cfg) -> bool {
     if spec.point != InstPoint::Before {
         return false;
     }
@@ -25,7 +25,7 @@ fn matches_before(spec: &InstrumentSpec, ins: &Instr, pc: u32, f: &Function) -> 
     }
     (spec.filter.contains(SiteFilter::KERNEL_ENTRY) && pc == 0)
         || (spec.filter.contains(SiteFilter::BB_HEADERS)
-            && f.meta.block_headers.binary_search(&pc).is_ok())
+            && pc == cfg.blocks[cfg.block_of[pc]].start)
         || (spec.filter.contains(SiteFilter::KERNEL_EXIT) && is_exit(ins))
 }
 
@@ -37,22 +37,15 @@ fn matches_after(spec: &InstrumentSpec, ins: &Instr) -> bool {
         && !ins.class().is_control_xfer()
 }
 
-/// Instruments `func` according to `specs`. `fn_addr` is a unique base
+/// Instruments `func` according to `specs`, saving registers around
+/// each handler call as `policy` says. `fn_addr` is a unique base
 /// address assigned to the function (used by handlers to form global
 /// instruction addresses).
 ///
 /// The returned function contains the original instructions, unchanged
 /// and in their original order, with ABI trampolines interleaved;
-/// branch targets, reconvergence metadata and block headers are
-/// relocated accordingly.
-pub fn instrument(func: &Function, specs: &[InstrumentSpec], fn_addr: u32) -> Function {
-    instrument_with_policy(func, specs, fn_addr, SpillPolicy::Liveness)
-}
-
-/// [`instrument`] with an explicit [`SpillPolicy`] — the ablation knob
-/// comparing compiler-driven minimal spilling against the
-/// save-everything baseline of a liveness-blind binary rewriter.
-pub fn instrument_with_policy(
+/// branch targets and reconvergence metadata are relocated accordingly.
+pub(crate) fn instrument(
     func: &Function,
     specs: &[InstrumentSpec],
     fn_addr: u32,
@@ -61,7 +54,8 @@ pub fn instrument_with_policy(
     if specs.is_empty() {
         return func.clone();
     }
-    let lv = sasslive::function_liveness(func);
+    let cfg = sasslive::cfg(func);
+    let lv = sasslive::liveness(func, &cfg);
     let n = func.instrs.len();
 
     let mut out: Vec<Instr> = Vec::with_capacity(n * 4);
@@ -71,10 +65,7 @@ pub fn instrument_with_policy(
 
     for (pc, ins) in func.instrs.iter().enumerate() {
         new_start[pc] = out.len() as u32;
-        for spec in specs
-            .iter()
-            .filter(|s| matches_before(s, ins, pc as u32, func))
-        {
+        for spec in specs.iter().filter(|s| matches_before(s, ins, pc, &cfg)) {
             let site = Site {
                 ins,
                 pc: pc as u32,
@@ -108,7 +99,9 @@ pub fn instrument_with_policy(
     new_start[n] = out.len() as u32;
 
     // Relocate in-function branch/SSY targets (original instructions
-    // only — trampolines contain no Pc labels).
+    // only — trampolines contain no Pc labels). A target past the end
+    // stays the same distance past the new end, and faults as before.
+    let new_len = out.len() as u32;
     for ins in &mut out {
         match &mut ins.op {
             Op::Bra {
@@ -118,7 +111,10 @@ pub fn instrument_with_policy(
             | Op::Ssy {
                 target: Label::Pc(t),
             } => {
-                *t = new_start[*t as usize];
+                *t = match new_start.get(*t as usize) {
+                    Some(&s) => s,
+                    None => *t - n as u32 + new_len,
+                };
             }
             _ => {}
         }
@@ -128,16 +124,8 @@ pub fn instrument_with_policy(
     for (&sync_pc, &reconv) in &func.meta.sync_reconv {
         sync_reconv.insert(instr_pos[sync_pc as usize], new_start[reconv as usize]);
     }
-    let block_headers: Vec<u32> = func
-        .meta
-        .block_headers
-        .iter()
-        .map(|&h| new_start[h as usize])
-        .collect();
-
     let meta = FunctionMeta {
         sync_reconv,
-        block_headers,
         frame_bytes: func.meta.frame_bytes,
         shared_bytes: func.meta.shared_bytes,
         reg_high_water: func.meta.reg_high_water.max(16),
@@ -148,16 +136,15 @@ pub fn instrument_with_policy(
 
 /// Counts the sites `specs` would instrument in `func`, without
 /// rewriting (used for overhead prediction and tests).
-pub fn count_sites(func: &Function, specs: &[InstrumentSpec]) -> usize {
+pub(crate) fn count_sites(func: &Function, specs: &[InstrumentSpec]) -> usize {
+    let cfg = sasslive::cfg(func);
     specs
         .iter()
         .map(|s| {
             func.instrs
                 .iter()
                 .enumerate()
-                .filter(|(pc, ins)| {
-                    matches_before(s, ins, *pc as u32, func) || matches_after(s, ins)
-                })
+                .filter(|&(pc, ins)| matches_before(s, ins, pc, &cfg) || matches_after(s, ins))
                 .count()
         })
         .sum()
@@ -167,23 +154,23 @@ pub fn count_sites(func: &Function, specs: &[InstrumentSpec]) -> usize {
 /// site — exposed for the ablation study comparing liveness-driven
 /// spilling against save-everything.
 pub fn planned_spills(func: &Function, specs: &[InstrumentSpec]) -> Vec<(u32, RegSet)> {
-    let lv = sasslive::function_liveness(func);
+    let cfg = sasslive::cfg(func);
+    let lv = sasslive::liveness(func, &cfg);
+    let mut clob = RegSet::new();
+    for r in crate::trampoline::clobberable() {
+        clob.insert_gpr(sassi_isa::Gpr::new(r));
+    }
     let mut outv = Vec::new();
     for (pc, ins) in func.instrs.iter().enumerate() {
         for spec in specs {
-            if matches_before(spec, ins, pc as u32, func) {
-                let mut clob = RegSet::new();
-                for r in crate::trampoline::clobberable() {
-                    clob.insert_gpr(sassi_isa::Gpr::new(r));
-                }
-                outv.push((pc as u32, lv.live_in[pc].intersection(&clob)));
+            let live = if matches_before(spec, ins, pc, &cfg) {
+                &lv.live_in[pc]
             } else if matches_after(spec, ins) {
-                let mut clob = RegSet::new();
-                for r in crate::trampoline::clobberable() {
-                    clob.insert_gpr(sassi_isa::Gpr::new(r));
-                }
-                outv.push((pc as u32, lv.live_out[pc].intersection(&clob)));
-            }
+                &lv.live_out[pc]
+            } else {
+                continue;
+            };
+            outv.push((pc as u32, live.intersection(&clob)));
         }
     }
     outv

@@ -123,7 +123,7 @@ impl Sassi {
     /// Applies the instrumentation pass to one compiled function;
     /// `fn_addr` must be unique per function (e.g. `ordinal << 20`).
     pub fn apply(&self, func: &Function, fn_addr: u32) -> Function {
-        pass::instrument_with_policy(func, &self.specs, fn_addr, self.policy)
+        pass::instrument(func, &self.specs, fn_addr, self.policy)
     }
 
     /// Number of sites the current specs would instrument in `func`.

@@ -280,7 +280,7 @@ fn bb_headers_instrument_every_block() {
     let e = b.lea(out, tid, 2);
     b.st_global_u32(e, r);
     let func = Compiler::new().compile(&b.finish()).unwrap();
-    let n_headers = func.meta.block_headers.len() as u64;
+    let n_headers = sassi_kir::sasslive::cfg(&func).len() as u64;
     assert!(n_headers >= 4, "expected several blocks, got {n_headers}");
 
     let hits = Arc::new(Mutex::new(0u64));
@@ -292,6 +292,11 @@ fn bb_headers_instrument_every_block() {
         Box::new(FnHandler::free(move |_| {
             *h2.lock() += 1;
         })),
+    );
+    assert_eq!(
+        sassi.count_sites(&func) as u64,
+        n_headers,
+        "one site per block"
     );
     let func = sassi.apply(&func, 0);
     let (vals, _) = run(func, &mut sassi, 32);

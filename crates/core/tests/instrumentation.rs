@@ -494,3 +494,69 @@ fn divergent_loop_kernel_survives_full_instrumentation() {
         assert_eq!(dev.mem.read_u32(out + 4 * t).unwrap(), want, "thread {t}");
     }
 }
+
+#[test]
+fn jump_past_the_end_faults_instead_of_panicking() {
+    use sassi_isa::{Function, FunctionMeta, Guard, Instr, Label, Op, PredReg};
+    use sassi_sim::{FaultKind, KernelOutcome};
+
+    let bra = |t| Op::Bra {
+        target: Label::Pc(t),
+        uniform: false,
+    };
+    let p0 = Guard {
+        pred: PredReg::new(0),
+        neg: false,
+    };
+    // `BRA 1` jumps one past its only instruction; `@P0 BRA 2; EXIT`
+    // does the same under a guard; `BRA 7` and `SSY 7` reach further.
+    let func = |name: &str, instrs| Function::new(name, instrs, FunctionMeta::default());
+    let one = func("one", vec![Instr::new(bra(1))]);
+    let two = func(
+        "two",
+        vec![Instr::guarded(p0, bra(2)), Instr::new(Op::Exit)],
+    );
+    let far = func("far", vec![Instr::new(bra(7))]);
+    let ssy = func(
+        "ssy",
+        vec![
+            Instr::new(Op::Ssy {
+                target: Label::Pc(7),
+            }),
+            Instr::new(Op::Exit),
+        ],
+    );
+    let mut sassi = Sassi::new();
+    sassi.on_before(
+        SiteFilter::ALL,
+        InfoFlags::NONE,
+        Box::new(FnHandler::free(|_| {})),
+    );
+    for f in [&one, &two, &far] {
+        sassi_kir::check_reconvergence(f).unwrap();
+    }
+    assert!(sassi_kir::check_reconvergence(&ssy).is_err());
+    for f in [&one, &two, &far, &ssy] {
+        assert!(sassi.apply(f, 0).len() > f.len());
+    }
+
+    for func in [one.clone(), sassi.apply(&one, 0), sassi.apply(&far, 0)] {
+        let mut dev = Device::with_defaults();
+        let res = run(
+            func,
+            &mut sassi,
+            LaunchDims::linear(1, 32),
+            &[],
+            &[],
+            &mut dev,
+        );
+        assert!(
+            matches!(
+                res.outcome,
+                KernelOutcome::Fault(f) if matches!(f.kind, FaultKind::InvalidPc { .. })
+            ),
+            "{:?}",
+            res.outcome
+        );
+    }
+}

@@ -4,7 +4,11 @@
 //! The paper stresses (§10.1) that a compiler-integrated instrumentor has
 //! structural information a binary rewriter cannot easily reconstruct —
 //! control-flow structure, reconvergence targets, basic-block headers and
-//! register liveness. [`FunctionMeta`] is where our backend records it.
+//! register liveness. [`FunctionMeta`] is where our backend records what
+//! the code alone does not show, such as reconvergence targets and frame
+//! size. Basic-block headers and liveness are derived from the code by
+//! the compiler's CFG (`sassi_kir::sasslive`) whenever they are needed,
+//! so they are never stored and cannot go stale.
 
 use crate::instr::Instr;
 use serde::{Deserialize, Serialize};
@@ -18,8 +22,6 @@ pub struct FunctionMeta {
     /// reconvergence point established by its matching `SSY`. Used to
     /// build a precise CFG for liveness and by verification.
     pub sync_reconv: BTreeMap<u32, u32>,
-    /// Instruction indices that begin basic blocks.
-    pub block_headers: Vec<u32>,
     /// Per-thread stack frame bytes reserved by the prologue (spills and
     /// local arrays).
     pub frame_bytes: u32,

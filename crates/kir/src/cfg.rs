@@ -1,8 +1,12 @@
-//! Control-flow graph over kernel IR, and label resolution.
+//! Control-flow graphs: one builder for kernel IR and for SASS.
+//!
+//! [`Cfg::from_flow`] holds the only rule for where a basic block
+//! starts and which blocks follow it. [`Cfg::build`] feeds it kernel
+//! IR; [`crate::sasslive::cfg`] feeds it compiled SASS, and SASSI reads
+//! its basic-block headers from that graph.
 
 use crate::builder::KFunction;
 use crate::kop::KOp;
-use crate::vreg::LabelId;
 use std::collections::HashMap;
 
 /// A basic block: a half-open range of instruction indices.
@@ -14,70 +18,70 @@ pub struct Block {
     pub end: usize,
 }
 
-/// Control-flow graph of a [`KFunction`].
+/// How one instruction passes control on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flow {
+    /// Continues with the next instruction.
+    Next,
+    /// Transfers to `target` (none when the target is unknown); a
+    /// guarded jump also falls through.
+    Jump {
+        /// Instruction index of the target.
+        target: Option<usize>,
+        /// Whether lanes whose guard is false fall through.
+        guarded: bool,
+    },
+    /// Ends the thread; a guarded stop also falls through.
+    Stop {
+        /// Whether lanes whose guard is false fall through.
+        guarded: bool,
+    },
+}
+
+/// Control-flow graph of a function.
 #[derive(Clone, Debug)]
 pub struct Cfg {
     /// Basic blocks in layout order.
     pub blocks: Vec<Block>,
     /// Successor block indices, per block.
     pub succs: Vec<Vec<usize>>,
-    /// Predecessor block indices, per block.
-    pub preds: Vec<Vec<usize>>,
-    /// Instruction index of each label.
-    pub label_pos: HashMap<LabelId, usize>,
     /// Block index containing each instruction.
     pub block_of: Vec<usize>,
 }
 
-/// Control-flow effect of an instruction, used to place block
-/// boundaries and edges.
-fn targets(op: &KOp) -> Option<LabelId> {
-    match op {
-        KOp::Bra { t } => Some(*t),
-        KOp::Sync { reconv } => Some(*reconv),
-        _ => None,
-    }
-}
-
-fn is_control(op: &KOp) -> bool {
-    matches!(
-        op,
-        KOp::Bra { .. } | KOp::Sync { .. } | KOp::Exit | KOp::Ret
-    )
-}
-
 impl Cfg {
-    /// Builds the CFG of `f`.
+    /// Builds the CFG of `n` instructions whose control effects are
+    /// `flow(0)..flow(n)`.
     ///
-    /// Edges: a `BRA` goes to its target (plus fallthrough when
-    /// guarded); a `SYNC` transfers parked lanes to its reconvergence
-    /// label (plus fallthrough when guarded — lanes whose guard is
-    /// false continue); `EXIT`/`RET` end the thread (fallthrough only
-    /// when guarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a referenced label is never placed.
-    pub fn build(f: &KFunction) -> Cfg {
-        let n = f.instrs.len();
-        let mut label_pos = HashMap::new();
-        for (i, ins) in f.instrs.iter().enumerate() {
-            if let KOp::Label { id } = ins.op {
-                label_pos.insert(id, i);
-            }
-        }
-
-        // Leaders: entry, label positions, instruction after control ops.
+    /// Blocks start at the entry, at every jump target, at every index
+    /// in `leaders`, and after every jump or stop. A jump goes to its
+    /// target and a stop to no block; either falls through as well when
+    /// guarded. A target or leader at or past `n` is neither a block
+    /// start nor an edge: control that leaves the function faults when
+    /// executed, it does not shape the graph.
+    pub fn from_flow(
+        n: usize,
+        leaders: impl IntoIterator<Item = usize>,
+        flow: impl Fn(usize) -> Flow,
+    ) -> Cfg {
         let mut leader = vec![false; n.max(1)];
-        if n > 0 {
-            leader[0] = true;
-        }
-        for (i, ins) in f.instrs.iter().enumerate() {
-            if let KOp::Label { .. } = ins.op {
-                leader[i] = true;
+        leader[0] = true;
+        let mut mark = |t: usize| {
+            if t < n {
+                leader[t] = true;
             }
-            if is_control(&ins.op) && i + 1 < n {
-                leader[i + 1] = true;
+        };
+        leaders.into_iter().for_each(&mut mark);
+        for i in 0..n {
+            let f = flow(i);
+            if let Flow::Jump {
+                target: Some(t), ..
+            } = f
+            {
+                mark(t);
+            }
+            if f != Flow::Next {
+                mark(i + 1);
             }
         }
 
@@ -94,51 +98,70 @@ impl Cfg {
             blocks.push(Block { start, end: n });
         }
         for (bi, b) in blocks.iter().enumerate() {
-            for bo in &mut block_of[b.start..b.end] {
-                *bo = bi;
-            }
+            block_of[b.start..b.end].fill(bi);
         }
 
-        let mut succs = vec![Vec::new(); blocks.len()];
-        for (bi, b) in blocks.iter().enumerate() {
-            if b.end == b.start {
-                continue;
-            }
-            let last = &f.instrs[b.end - 1];
-            let guarded = last.guard.is_some();
-            let mut out: Vec<usize> = Vec::new();
-            if let Some(t) = targets(&last.op) {
-                let pos = *label_pos
-                    .get(&t)
-                    .unwrap_or_else(|| panic!("label {t} referenced but never placed"));
-                out.push(block_of[pos]);
-            }
-            let falls = match &last.op {
-                KOp::Bra { .. } | KOp::Sync { .. } | KOp::Exit => guarded,
-                KOp::Ret => false,
-                _ => true, // block ended by a following leader (label)
-            };
-            if falls && b.end < n {
-                out.push(block_of[b.end]);
-            }
-            out.dedup();
-            succs[bi] = out;
-        }
-
-        let mut preds = vec![Vec::new(); blocks.len()];
-        for (bi, ss) in succs.iter().enumerate() {
-            for &s in ss {
-                preds[s].push(bi);
-            }
-        }
+        let succs = blocks
+            .iter()
+            .map(|b| {
+                let (target, falls) = match flow(b.end - 1) {
+                    Flow::Next => (None, true),
+                    Flow::Jump { target, guarded } => (target, guarded),
+                    Flow::Stop { guarded } => (None, guarded),
+                };
+                let mut out = Vec::with_capacity(2);
+                out.extend(target.filter(|&t| t < n).map(|t| block_of[t]));
+                if falls && b.end < n {
+                    out.push(block_of[b.end]);
+                }
+                out.dedup();
+                out
+            })
+            .collect();
 
         Cfg {
             blocks,
             succs,
-            preds,
-            label_pos,
             block_of,
         }
+    }
+
+    /// Builds the CFG of `f`.
+    ///
+    /// Edges: a `BRA` goes to its target (plus fallthrough when
+    /// guarded); a `SYNC` transfers parked lanes to its reconvergence
+    /// label (plus fallthrough when guarded — lanes whose guard is
+    /// false continue); `EXIT` ends the thread (fallthrough only when
+    /// guarded) and `RET` always ends it. Every label starts a block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a referenced label is never placed.
+    pub fn build(f: &KFunction) -> Cfg {
+        let mut label_pos = HashMap::new();
+        for (i, ins) in f.instrs.iter().enumerate() {
+            if let KOp::Label { id } = ins.op {
+                label_pos.insert(id, i);
+            }
+        }
+        Cfg::from_flow(f.instrs.len(), label_pos.values().copied(), |i| {
+            let ins = &f.instrs[i];
+            let guarded = ins.guard.is_some();
+            match ins.op {
+                KOp::Bra { t: l } | KOp::Sync { reconv: l } => {
+                    let pos = *label_pos
+                        .get(&l)
+                        .unwrap_or_else(|| panic!("label {l} referenced but never placed"));
+                    Flow::Jump {
+                        target: Some(pos),
+                        guarded,
+                    }
+                }
+                KOp::Exit => Flow::Stop { guarded },
+                KOp::Ret => Flow::Stop { guarded: false },
+                _ => Flow::Next,
+            }
+        })
     }
 
     /// Number of blocks.

@@ -2,8 +2,8 @@
 //!
 //! Pipeline: KIR verification → CFG → liveness → linear-scan register
 //! allocation (optionally under a register cap, the `-maxrregcount`
-//! analogue) → lowering to SASS → reconvergence verification → an
-//! optional *final pass*, which is where SASSI plugs in, exactly as the
+//! analogue) → lowering to SASS → reconvergence verification. SASSI's
+//! `Sassi::apply` then runs over the result as the final pass, as the
 //! paper's Figure 1 shows it inside `ptxas`.
 
 use crate::builder::KFunction;
@@ -69,7 +69,6 @@ impl From<RegAllocError> for CompileError {
 #[derive(Clone, Debug)]
 pub struct Compiler {
     max_regs: u8,
-    verify: bool,
 }
 
 impl Default for Compiler {
@@ -80,12 +79,9 @@ impl Default for Compiler {
 
 impl Compiler {
     /// A compiler with the default register budget (63, the classic
-    /// Kepler per-thread limit for full occupancy) and verification on.
+    /// Kepler per-thread limit for full occupancy).
     pub fn new() -> Compiler {
-        Compiler {
-            max_regs: 63,
-            verify: true,
-        }
+        Compiler { max_regs: 63 }
     }
 
     /// Caps the per-thread register budget — the analogue of compiling
@@ -96,12 +92,6 @@ impl Compiler {
         self
     }
 
-    /// Enables or disables IR and reconvergence verification.
-    pub fn verification(mut self, on: bool) -> Compiler {
-        self.verify = on;
-        self
-    }
-
     /// Compiles a function to SASS.
     ///
     /// # Errors
@@ -109,34 +99,14 @@ impl Compiler {
     /// Returns a [`CompileError`] for malformed IR, unsatisfiable
     /// register pressure (predicates) or verification failures.
     pub fn compile(&self, f: &KFunction) -> Result<Function, CompileError> {
-        if self.verify {
-            verify::check_kir(f)?;
-        }
+        verify::check_kir(f)?;
         let cfg = Cfg::build(f);
         let lv = block_liveness(f, &cfg);
         let intervals = live_intervals(f, &cfg, &lv);
         let alloc = allocate(f, &intervals, self.max_regs, f.frame_bytes)?;
         let func = lower(f, &alloc)?;
-        if self.verify {
-            verify::check_reconvergence(&func).map_err(CompileError::Verify)?;
-        }
+        verify::check_reconvergence(&func).map_err(CompileError::Verify)?;
         Ok(func)
-    }
-
-    /// Compiles and then runs `pass` as the *final backend pass* over
-    /// the machine code — the hook SASSI uses (paper Figure 1: SASSI sits
-    /// at the end of `ptxas`, after code generation and register
-    /// allocation, so instrumentation never perturbs the original code).
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors; the pass itself is infallible.
-    pub fn compile_with_final_pass(
-        &self,
-        f: &KFunction,
-        pass: impl FnOnce(Function) -> Function,
-    ) -> Result<Function, CompileError> {
-        Ok(pass(self.compile(f)?))
     }
 }
 
@@ -218,18 +188,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn final_pass_hook_runs() {
-        let mut seen = false;
-        let _ = Compiler::new()
-            .compile_with_final_pass(&vadd_kfunc(), |f| {
-                seen = true;
-                f
-            })
-            .unwrap();
-        assert!(seen);
     }
 
     #[test]

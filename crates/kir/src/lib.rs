@@ -11,9 +11,12 @@
 //!   linear-scan register allocation with spilling (including the
 //!   16-register handler cap, `-maxrregcount=16` in the paper), and
 //!   lowering to the SASS-like ISA of [`sassi_isa`].
-//! * [`sasslive`] — SASS-level per-instruction liveness and
+//! * [`Cfg`] — the one control-flow-graph builder, shared by kernel IR
+//!   ([`Cfg::build`]) and compiled SASS ([`sasslive::cfg`]).
+//! * [`sasslive`] — the SASS CFG with its per-instruction liveness and
 //!   post-dominance, the compile-time facts the SASSI instrumentor
-//!   consumes when it runs as the compiler's final pass.
+//!   consumes when it runs as the compiler's final pass; its block
+//!   starts are the basic-block headers SASSI instruments.
 //!
 //! ```
 //! use sassi_kir::{Compiler, KernelBuilder};
@@ -48,7 +51,7 @@ mod verify;
 mod vreg;
 
 pub use builder::{FrameSlot, KFunction, KernelBuilder, SharedSlot};
-pub use cfg::{Block, Cfg};
+pub use cfg::{Block, Cfg, Flow};
 pub use compiler::{CompileError, Compiler};
 pub use kop::{FBinOp, IBinOp, IUnOp, KAddr, KDefsUses, KGuard, KInstr, KOp};
 pub use liveness::{block_liveness, live_intervals, Interval, Liveness, VBitSet};

@@ -1210,37 +1210,8 @@ pub(crate) fn lower(f: &KFunction, alloc: &Allocation) -> Result<Function, Compi
         sync_reconv.insert(pos as u32, target);
     }
 
-    // Basic-block headers on the final SASS.
-    let mut headers = vec![0u32];
-    for (i, ins) in out.iter().enumerate() {
-        match &ins.op {
-            Op::Bra {
-                target: Label::Pc(t),
-                ..
-            }
-            | Op::Ssy {
-                target: Label::Pc(t),
-            } => {
-                headers.push(*t);
-                if matches!(ins.op, Op::Bra { .. }) && i + 1 < out.len() {
-                    headers.push(i as u32 + 1);
-                }
-            }
-            Op::Sync | Op::Exit | Op::Ret if i + 1 < out.len() => {
-                headers.push(i as u32 + 1);
-            }
-            _ => {}
-        }
-    }
-    for &t in sync_reconv.values() {
-        headers.push(t);
-    }
-    headers.sort_unstable();
-    headers.dedup();
-
     let meta = FunctionMeta {
         sync_reconv,
-        block_headers: headers,
         frame_bytes: frame_total,
         shared_bytes: f.shared_bytes,
         reg_high_water: alloc.reg_high_water,

@@ -6,153 +6,41 @@
 //! This module computes exactly that: for every machine instruction, the
 //! sets of GPRs, predicates and CC live before and after it.
 
-use sassi_isa::{Function, Instr, Label, Op, RegSet};
-use std::collections::HashMap;
+use crate::cfg::{Cfg, Flow};
+use sassi_isa::{Function, Label, Op, RegSet};
 
-/// A basic block over SASS instruction indices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SassBlock {
-    /// First instruction index.
-    pub start: usize,
-    /// One past the last instruction index.
-    pub end: usize,
-}
-
-/// CFG over a compiled [`Function`].
-#[derive(Clone, Debug)]
-pub struct SassCfg {
-    /// Blocks in layout order.
-    pub blocks: Vec<SassBlock>,
-    /// Successors per block.
-    pub succs: Vec<Vec<usize>>,
-    /// Predecessors per block.
-    pub preds: Vec<Vec<usize>>,
-    /// Block index of each instruction.
-    pub block_of: Vec<usize>,
-}
-
-fn branch_target(i: &Instr) -> Option<u32> {
-    match &i.op {
-        Op::Bra {
+/// Builds the CFG of a compiled function, using `meta.sync_reconv` for
+/// the reconvergence edges of `SYNC` instructions. `SSY` targets and
+/// reconvergence points start blocks too, so a block start is exactly
+/// what SASSI instruments as a basic-block header.
+pub fn cfg(f: &Function) -> Cfg {
+    let ssy_targets = f.instrs.iter().filter_map(|ins| match ins.op {
+        Op::Ssy {
             target: Label::Pc(t),
-            ..
-        } => Some(*t),
+        } => Some(t as usize),
         _ => None,
-    }
-}
-
-fn ends_block(i: &Instr) -> bool {
-    matches!(i.op, Op::Bra { .. } | Op::Sync | Op::Exit | Op::Ret)
-}
-
-impl SassCfg {
-    /// Builds the CFG of a function, using `meta.sync_reconv` for the
-    /// reconvergence edges of `SYNC` instructions.
-    pub fn build(f: &Function) -> SassCfg {
-        let n = f.instrs.len();
-        let mut leader = vec![false; n.max(1)];
-        if n > 0 {
-            leader[0] = true;
+    });
+    let reconv = f.meta.sync_reconv.values().map(|&t| t as usize);
+    Cfg::from_flow(f.instrs.len(), ssy_targets.chain(reconv), |i| {
+        let ins = &f.instrs[i];
+        let guarded = ins.is_guarded();
+        match &ins.op {
+            Op::Bra { target, .. } => Flow::Jump {
+                target: match target {
+                    Label::Pc(t) => Some(*t as usize),
+                    _ => None,
+                },
+                guarded,
+            },
+            Op::Sync => Flow::Jump {
+                target: f.meta.sync_reconv.get(&(i as u32)).map(|&t| t as usize),
+                guarded,
+            },
+            Op::Exit => Flow::Stop { guarded },
+            Op::Ret => Flow::Stop { guarded: false },
+            _ => Flow::Next,
         }
-        for (i, ins) in f.instrs.iter().enumerate() {
-            if let Some(t) = branch_target(ins) {
-                leader[t as usize] = true;
-            }
-            if let Op::Ssy {
-                target: Label::Pc(t),
-            } = ins.op
-            {
-                leader[t as usize] = true;
-            }
-            if ends_block(ins) && i + 1 < n {
-                leader[i + 1] = true;
-            }
-        }
-        for &t in f.meta.sync_reconv.values() {
-            leader[t as usize] = true;
-        }
-
-        let mut blocks = Vec::new();
-        let mut block_of = vec![0usize; n];
-        let mut start = 0usize;
-        for (i, &is_leader) in leader.iter().enumerate().take(n).skip(1) {
-            if is_leader {
-                blocks.push(SassBlock { start, end: i });
-                start = i;
-            }
-        }
-        if n > 0 {
-            blocks.push(SassBlock { start, end: n });
-        }
-        for (bi, b) in blocks.iter().enumerate() {
-            for bo in &mut block_of[b.start..b.end] {
-                *bo = bi;
-            }
-        }
-
-        let mut succs = vec![Vec::new(); blocks.len()];
-        for (bi, b) in blocks.iter().enumerate() {
-            let li = b.end - 1;
-            let last = &f.instrs[li];
-            let guarded = last.is_guarded();
-            let mut out = Vec::new();
-            match &last.op {
-                Op::Bra {
-                    target: Label::Pc(t),
-                    ..
-                } => {
-                    out.push(block_of[*t as usize]);
-                    if guarded && b.end < n {
-                        out.push(block_of[b.end]);
-                    }
-                }
-                Op::Sync => {
-                    if let Some(&t) = f.meta.sync_reconv.get(&(li as u32)) {
-                        out.push(block_of[t as usize]);
-                    }
-                    if guarded && b.end < n {
-                        out.push(block_of[b.end]);
-                    }
-                }
-                Op::Exit => {
-                    if guarded && b.end < n {
-                        out.push(block_of[b.end]);
-                    }
-                }
-                Op::Ret => {}
-                _ => {
-                    if b.end < n {
-                        out.push(block_of[b.end]);
-                    }
-                }
-            }
-            out.dedup();
-            succs[bi] = out;
-        }
-
-        let mut preds = vec![Vec::new(); blocks.len()];
-        for (bi, ss) in succs.iter().enumerate() {
-            for &s in ss {
-                preds[s].push(bi);
-            }
-        }
-        SassCfg {
-            blocks,
-            succs,
-            preds,
-            block_of,
-        }
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the CFG has no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
+    })
 }
 
 /// Per-instruction liveness over architectural registers.
@@ -168,7 +56,7 @@ pub struct SassLiveness {
 ///
 /// This is the map SASSI consults to decide which registers a
 /// trampoline must save around a handler call.
-pub fn liveness(f: &Function, cfg: &SassCfg) -> SassLiveness {
+pub fn liveness(f: &Function, cfg: &Cfg) -> SassLiveness {
     let nb = cfg.len();
     let n = f.instrs.len();
     let mut blk_gen = vec![RegSet::new(); nb];
@@ -237,7 +125,7 @@ pub fn liveness(f: &Function, cfg: &SassCfg) -> SassLiveness {
 
 /// Post-dominator sets per block (bit-matrix as Vec of bool rows), with
 /// `RET`/unguarded-`EXIT` blocks flowing to a virtual exit.
-pub fn postdominators(cfg: &SassCfg) -> Vec<Vec<bool>> {
+pub fn postdominators(cfg: &Cfg) -> Vec<Vec<bool>> {
     let n = cfg.len();
     // pdom[b] = {b} ∪ ⋂ pdom(succ). Exit blocks start at {b}.
     let mut pdom: Vec<Vec<bool>> = (0..n)
@@ -273,17 +161,3 @@ pub fn postdominators(cfg: &SassCfg) -> Vec<Vec<bool>> {
     }
     pdom
 }
-
-/// Map from instruction index to containing block for external callers.
-pub fn block_index(cfg: &SassCfg, pc: u32) -> usize {
-    cfg.block_of[pc as usize]
-}
-
-/// Convenience: builds the CFG and liveness in one call.
-pub fn function_liveness(f: &Function) -> SassLiveness {
-    let cfg = SassCfg::build(f);
-    liveness(f, &cfg)
-}
-
-#[allow(dead_code)]
-fn _unused(_: &HashMap<u32, u32>) {}

@@ -4,7 +4,7 @@
 use crate::builder::KFunction;
 use crate::compiler::CompileError;
 use crate::kop::{KAddr, KOp};
-use crate::sasslive::{postdominators, SassCfg};
+use crate::sasslive::{cfg, postdominators};
 use crate::vreg::{LabelId, VClass, VReg, VSrc};
 use sassi_isa::{AddrSpace, Function, Label, Op};
 use std::collections::HashSet;
@@ -281,7 +281,7 @@ fn check_addr(
 ///
 /// Returns a human-readable description of the first violation.
 pub fn check_reconvergence(f: &Function) -> Result<(), String> {
-    let cfg = SassCfg::build(f);
+    let cfg = cfg(f);
     let pdom = postdominators(&cfg);
     for (i, ins) in f.instrs.iter().enumerate() {
         if let Op::Ssy {
@@ -289,7 +289,9 @@ pub fn check_reconvergence(f: &Function) -> Result<(), String> {
         } = ins.op
         {
             let from = cfg.block_of[i];
-            let to = cfg.block_of[t as usize];
+            let Some(&to) = cfg.block_of.get(t as usize) else {
+                return Err(format!("SSY at {i} targets {t}, past the end"));
+            };
             if !pdom[from][to] {
                 return Err(format!(
                     "SSY at {i} targets {t}, which does not post-dominate it"
@@ -366,10 +368,7 @@ mod tests {
         b.for_range(0u32, n, 1, |b, i| {
             let _ = b.iadd(i, 1u32);
         });
-        let f = Compiler::new()
-            .verification(false)
-            .compile(&b.finish())
-            .unwrap();
+        let f = Compiler::new().compile(&b.finish()).unwrap();
         check_reconvergence(&f).unwrap();
     }
 }

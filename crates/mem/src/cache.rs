@@ -1,4 +1,5 @@
-//! Set-associative, write-back LRU caches (L1 per SM, shared L2).
+//! Set-associative, write-back LRU caches: the L1 and L2 of a
+//! [`MemoryHierarchy`](crate::MemoryHierarchy).
 
 use serde::{Deserialize, Serialize};
 

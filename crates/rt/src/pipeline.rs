@@ -64,12 +64,6 @@ impl ModuleBuilder {
         }
     }
 
-    /// Replaces the kernel compiler (e.g. to cap kernel registers).
-    pub fn with_compiler(mut self, c: Compiler) -> ModuleBuilder {
-        self.compiler = c;
-        self
-    }
-
     /// Registers a compiled-SASS instrumentation handler; returns the
     /// function index to pass to `Sassi::on_before_sass`.
     ///
@@ -184,7 +178,7 @@ mod tests {
             Box::new(FnHandler::free(|_| {})),
         );
         let inst = mb.build(Some(&sassi)).unwrap();
-        assert!(inst.code.len() > plain.code.len());
+        assert!(inst.code().len() > plain.code().len());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Link-time pre-decode: lowering a linked [`Module`]'s `Vec<Instr>`
-//! into a flat, cache-friendly µop array the interpreter executes
-//! without per-step allocation, cloning or operand re-matching.
+//! Link-time pre-decode: lowering a linked [`Module`](crate::Module)'s
+//! `Vec<Instr>` into a flat, cache-friendly µop array the interpreter
+//! executes without per-step allocation, cloning or operand
+//! re-matching.
 //!
 //! The seed interpreter cloned a full [`Instr`] (nested `Src`/`Label`
-//! enums) out of `module.code` for every warp-instruction and
+//! enums) out of the module's code for every warp-instruction and
 //! re-matched operand forms per lane. This module performs all of that
 //! work once, at link time:
 //!
@@ -28,10 +29,9 @@
 //!   instrumentation density per function without rescanning
 //!   instructions.
 //!
-//! The original `Instr` array stays on the [`Module`] solely for
-//! traps, disassembly and error reporting.
+//! The original `Instr` array stays on the [`Module`](crate::Module)
+//! solely for traps, disassembly and error reporting.
 
-use crate::module::Module;
 use crate::stats::{FaultKind, IssueClass};
 use sassi_isa::{
     AddrSpace, AtomOp, CmpOp, Gpr, Instr, Label, LogicOp, MemAddr, MemWidth, MufuFunc, Op, PredReg,
@@ -448,15 +448,15 @@ pub struct DecodedModule {
 }
 
 impl DecodedModule {
-    /// Decodes every instruction of a linked module. Never fails:
-    /// defective instructions become [`UOp::Invalid`] and fault only
-    /// if executed.
-    pub fn decode(module: &Module) -> DecodedModule {
-        let n = module.code.len();
+    /// Decodes every instruction of a linked module's flat code space.
+    /// Never fails: defective instructions become [`UOp::Invalid`] and
+    /// fault only if executed.
+    pub fn decode(instrs: &[Instr]) -> DecodedModule {
+        let n = instrs.len();
         let mut code = Vec::with_capacity(n);
         let mut sites = Vec::new();
         let mut consuming_global_atomics = false;
-        for (pc, ins) in module.code.iter().enumerate() {
+        for (pc, ins) in instrs.iter().enumerate() {
             let mut di = decode_instr(ins, n as u32);
             if let UOp::Trap { handler, site } = &mut di.uop {
                 *site = sites.len() as u32;
@@ -889,6 +889,7 @@ fn decode_instr(ins: &Instr, code_len: u32) -> DecodedInstr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::Module;
     use sassi_isa::{CBankAddr, Guard};
 
     fn module_of(instrs: Vec<Instr>) -> Module {

@@ -121,7 +121,7 @@ struct SmSlot {
 impl SmSlot {
     fn new(cfg: HierarchyConfig) -> SmSlot {
         SmSlot {
-            hier: MemoryHierarchy::new(1, cfg),
+            hier: MemoryHierarchy::new(cfg),
             warps: Vec::new(),
             ctas: Vec::new(),
             free_warps: Vec::new(),
@@ -1733,7 +1733,7 @@ impl Exec<'_> {
         if !global_addrs.is_empty() {
             let out = self
                 .hier
-                .access_global(0, self.cycle, global_addrs, width, write);
+                .access_global(self.cycle, global_addrs, width, write);
             lat = lat.max(out.ready_at.saturating_sub(self.cycle));
         }
         if has_local {

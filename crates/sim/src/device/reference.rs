@@ -49,10 +49,9 @@ impl Exec<'_> {
         // instruction from the `&mut self` borrow.
         let module: &Module = self.module;
         let pc = self.warps[wi].pc;
-        if pc as usize >= module.code.len() {
+        let Some(ins) = module.code().get(pc as usize) else {
             return Err(FaultKind::InvalidPc { pc: pc as u64 });
-        }
-        let ins = &module.code[pc as usize];
+        };
         let mask = self.guard_mask(&self.warps[wi], ins);
         self.stats.warp_instrs += 1;
         self.stats.thread_instrs += mask.count_ones() as u64;
@@ -74,7 +73,7 @@ impl Exec<'_> {
             }
             Op::Bra { target, .. } => {
                 let t = target_pc(target)?;
-                if (t as usize) > module.code.len() {
+                if (t as usize) > module.code().len() {
                     return Err(FaultKind::InvalidPc { pc: t as u64 });
                 }
                 let w = &mut self.warps[wi];

@@ -5,14 +5,14 @@
 //! handlers). Linking concatenates function bodies, relocates
 //! in-function `Pc` labels, resolves symbolic `Func` call targets, and
 //! merges reconvergence metadata. `Handler` call targets survive
-//! linking — they trap into native handlers at execution time.
+//! linking — they trap into native handlers at execution time. A module
+//! is decoded once, when it is assembled, and its code cannot change
+//! afterwards.
 
 use crate::decode::DecodedModule;
 use sassi_isa::{Function, FunctionMeta, Instr, Label};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A linking failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,7 +35,7 @@ impl fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// Metadata of one linked function.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkedFunction {
     /// Symbol name.
     pub name: String,
@@ -51,69 +51,13 @@ pub struct LinkedFunction {
 #[derive(Debug)]
 pub struct Module {
     /// Flat code space.
-    pub code: Vec<Instr>,
+    code: Vec<Instr>,
     /// Linked functions in link order.
     pub functions: Vec<LinkedFunction>,
     /// Reconvergence targets for every `SYNC`, keyed by flat pc.
     pub sync_reconv: BTreeMap<u32, u32>,
-    /// Lazily-built pre-decoded form (see [`DecodedModule`]); built
-    /// eagerly by [`Module::link`], rebuilt on demand after
-    /// clone/deserialize.
-    decoded: OnceLock<DecodedModule>,
-}
-
-// `code` is public and the decode cache must never go stale, so every
-// path that could yield a module with different code starts from an
-// empty cache: these impls are hand-written to (a) reset the cache on
-// clone and (b) keep equality/serialization defined over the three
-// public fields exactly as the derives on those fields would.
-impl Clone for Module {
-    fn clone(&self) -> Module {
-        Module {
-            code: self.code.clone(),
-            functions: self.functions.clone(),
-            sync_reconv: self.sync_reconv.clone(),
-            decoded: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for Module {
-    fn eq(&self, other: &Module) -> bool {
-        self.code == other.code
-            && self.functions == other.functions
-            && self.sync_reconv == other.sync_reconv
-    }
-}
-
-impl Serialize for Module {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (String::from("code"), Serialize::to_value(&self.code)),
-            (
-                String::from("functions"),
-                Serialize::to_value(&self.functions),
-            ),
-            (
-                String::from("sync_reconv"),
-                Serialize::to_value(&self.sync_reconv),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Module {
-    fn from_value(v: &Value) -> Result<Module, DeError> {
-        match v {
-            Value::Map(m) => Ok(Module {
-                code: Deserialize::from_value(serde::map_field(m, "code")?)?,
-                functions: Deserialize::from_value(serde::map_field(m, "functions")?)?,
-                sync_reconv: Deserialize::from_value(serde::map_field(m, "sync_reconv")?)?,
-                decoded: OnceLock::new(),
-            }),
-            _ => Err(DeError::expected("map for Module", v)),
-        }
-    }
+    /// The pre-decoded form of `code` (see [`DecodedModule`]).
+    decoded: DecodedModule,
 }
 
 impl Module {
@@ -168,34 +112,38 @@ impl Module {
                 meta: f.meta.clone(),
             });
         }
-        let module = Module::from_parts(code, functions, sync_reconv);
-        // Pre-decode eagerly: linking is the cold path, execution the
-        // hot one, and an eagerly-primed cache keeps first-launch
-        // timing indistinguishable from steady state.
-        module.decoded();
-        Ok(module)
+        Ok(Module::from_parts(code, functions, sync_reconv))
     }
 
-    /// Assembles a module directly from its parts (no relocation).
-    /// Intended for tests that need code the builder API rejects,
-    /// e.g. invalid control-transfer targets.
+    /// Assembles a module directly from its parts (no relocation) and
+    /// decodes it. [`Module::link`] ends here; tests call it directly
+    /// for code the builder API rejects, e.g. invalid control-transfer
+    /// targets.
     pub fn from_parts(
         code: Vec<Instr>,
         functions: Vec<LinkedFunction>,
         sync_reconv: BTreeMap<u32, u32>,
     ) -> Module {
+        // Decode at assembly: linking is the cold path, execution the
+        // hot one, and first-launch timing stays indistinguishable from
+        // steady state.
+        let decoded = DecodedModule::decode(&code);
         Module {
             code,
             functions,
             sync_reconv,
-            decoded: OnceLock::new(),
+            decoded,
         }
     }
 
-    /// The pre-decoded µop form of the module, built on first use and
-    /// cached.
+    /// The flat code space.
+    pub fn code(&self) -> &[Instr] {
+        &self.code
+    }
+
+    /// The pre-decoded µop form of the module.
     pub fn decoded(&self) -> &DecodedModule {
-        self.decoded.get_or_init(|| DecodedModule::decode(self))
+        &self.decoded
     }
 
     /// Finds a linked function by name.
@@ -226,7 +174,7 @@ mod tests {
     #[test]
     fn concatenates_and_finds() {
         let m = Module::link(&[f("a", 3), f("b", 2)]).unwrap();
-        assert_eq!(m.code.len(), 5);
+        assert_eq!(m.code().len(), 5);
         assert_eq!(m.function("b").unwrap().entry, 3);
         assert_eq!(m.function_at(4).unwrap().name, "b");
         assert!(m.function("c").is_none());
@@ -251,14 +199,14 @@ mod tests {
         );
         let m = Module::link(&[a, b]).unwrap();
         // b starts at 3; its first instruction calls a's entry (0).
-        match m.code[3].op {
+        match m.code()[3].op {
             Op::Jcal {
                 target: Label::Pc(t),
             } => assert_eq!(t, 0),
             ref o => panic!("unexpected {o:?}"),
         }
         // a's branch now targets 1 (unchanged, base 0).
-        match m.code[0].op {
+        match m.code()[0].op {
             Op::Bra {
                 target: Label::Pc(t),
                 ..
@@ -278,7 +226,7 @@ mod tests {
         );
         let m = Module::link(&[a]).unwrap();
         assert!(matches!(
-            m.code[0].op,
+            m.code()[0].op,
             Op::Jcal {
                 target: Label::Handler(7)
             }

@@ -17,8 +17,8 @@ use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
 use sassi_isa::{FunctionMeta, Instr, Label, Op};
 use sassi_kir::{Compiler, KernelBuilder};
 use sassi_sim::{
-    is_block_boundary, DecodedModule, Device, ExecMode, KernelOutcome, LaunchDims, LaunchResult,
-    LinkedFunction, Module, NoHandlers,
+    is_block_boundary, Device, ExecMode, KernelOutcome, LaunchDims, LaunchResult, LinkedFunction,
+    Module, NoHandlers,
 };
 use std::collections::BTreeMap;
 
@@ -84,7 +84,7 @@ proptest! {
         code in prop::collection::vec(instr_strategy(64), 1..64),
     ) {
         let module = raw_module(code);
-        let dm = DecodedModule::decode(&module);
+        let dm = module.decoded();
         let n = dm.len() as u32;
         let blocks = dm.blocks();
 
@@ -311,7 +311,7 @@ fn traps_do_not_fragment_blocks() {
     );
     let inst = s.apply(&plain, 0);
     let module = Module::link(std::slice::from_ref(&inst)).unwrap();
-    let dm = DecodedModule::decode(&module);
+    let dm = module.decoded();
     assert!(dm.trap_count() > 0);
     // Trap sites sit strictly inside blocks: none ends a block.
     for site in dm.sites() {
@@ -373,7 +373,7 @@ fn runs_do_not_wait_on_intra_block_dependences() {
         let mut cycles = Vec::new();
         for (alu_src, want) in [(r(4), 42), (r(6), 1)] {
             let module = kernel(alu_src);
-            assert_eq!(DecodedModule::decode(&module).blocks().len(), 1);
+            assert_eq!(module.decoded().blocks().len(), 1);
             let mut dev = Device::with_defaults();
             dev.exec_mode = mode;
             let buf = dev.mem.alloc(8, 8).unwrap();
