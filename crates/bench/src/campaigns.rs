@@ -7,7 +7,7 @@
 //! determinism tests both call these functions, so "what the CLI does"
 //! and "what the tests assert" cannot drift apart.
 
-use crate::exec::{run_units, split_jobs, Timing, WorkloadCache};
+use crate::exec::{run_units, Timing, WorkloadCache};
 use sassi_studies::inject::{self, InjectionCampaign, InjectionSite};
 use sassi_studies::{branch, memdiv, overhead, value};
 use sassi_workloads::{fig10_set, fig7_set, table1_set, table2_set, table3_set, Workload};
@@ -20,82 +20,55 @@ fn set_names(set: Vec<Box<dyn Workload>>) -> Vec<String> {
 }
 
 /// Fans one study function across a workload set, one unit per
-/// workload, returning rows in set order.
-///
-/// The `jobs` budget is split by [`split_jobs`]: outer workers claim
-/// whole workloads; any leftover budget is passed to the study as its
-/// inner CTA-shard job count. Studies that cannot parallelize a launch
-/// (stateful injection, closure handlers) simply ignore the second
-/// argument.
+/// workload, returning rows in set order. Each unit runs its kernel
+/// launches on its own worker thread.
 pub fn per_workload<R: Send>(
     jobs: usize,
     label: &str,
     names: &[String],
-    study: impl Fn(&dyn Workload, usize) -> R + Sync,
+    study: impl Fn(&dyn Workload) -> R + Sync,
 ) -> (Vec<R>, Timing) {
-    let split = split_jobs(jobs, names.len());
-    if split.degraded {
-        eprintln!(
-            "[{label}] jobs={jobs} over {} units: outer workers take the whole \
-             budget, inner CTA jobs degraded to 1",
-            names.len()
-        );
-    }
     run_units(
-        split.outer,
+        jobs,
         names,
         WorkloadCache::default,
         |cache, name: &String, _| {
             eprintln!("[{label}] {name}");
-            study(cache.get(name), split.inner)
+            study(cache.get(name))
         },
     )
 }
 
 /// Table 1: branch-divergence statistics.
 pub fn table1(jobs: usize) -> (Vec<branch::BranchStudy>, Timing) {
-    per_workload(jobs, "table1", &set_names(table1_set()), |w, inner| {
-        branch::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "table1", &set_names(table1_set()), branch::run)
 }
 
 /// Figure 5: per-branch profiles for bfs 1M vs UT.
 pub fn fig5(jobs: usize) -> (Vec<branch::BranchStudy>, Timing) {
     let names = ["bfs (1M)", "bfs (UT)"].map(String::from);
-    per_workload(jobs, "fig5", &names, |w, inner| {
-        branch::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "fig5", &names, branch::run)
 }
 
 /// Figure 7: memory-divergence PMFs.
 pub fn fig7(jobs: usize) -> (Vec<memdiv::MemDivStudy>, Timing) {
-    per_workload(jobs, "fig7", &set_names(fig7_set()), |w, inner| {
-        memdiv::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "fig7", &set_names(fig7_set()), memdiv::run)
 }
 
 /// Figure 8: miniFE CSR vs ELL access matrices.
 pub fn fig8(jobs: usize) -> (Vec<memdiv::MemDivStudy>, Timing) {
     let names = ["miniFE (CSR)", "miniFE (ELL)"].map(String::from);
-    per_workload(jobs, "fig8", &names, |w, inner| {
-        memdiv::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "fig8", &names, memdiv::run)
 }
 
 /// Table 2: value profiling.
 pub fn table2(jobs: usize) -> (Vec<value::ValueRow>, Timing) {
-    per_workload(jobs, "table2", &set_names(table2_set()), |w, inner| {
-        value::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "table2", &set_names(table2_set()), value::run)
 }
 
-/// Table 3: instrumentation overheads. The overhead study times
-/// serial launches (its slowdown model assumes one SM worker), so it
-/// ignores the inner job share.
+/// Table 3: instrumentation overheads.
 pub fn table3(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
-    per_workload(jobs, "table3", &set_names(table3_set()), |w, _inner| {
-        overhead::run(w)
-    })
+    per_workload(jobs, "table3", &set_names(table3_set()), overhead::run)
 }
 
 /// Figure 10: error-injection campaigns over `names`, `runs`
@@ -160,7 +133,7 @@ pub fn fig10(runs: usize, seed: u64, jobs: usize) -> (Vec<InjectionCampaign>, Ti
 /// §9.1 stub-handler ablation rows.
 pub fn ablation_stub(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
     let names = ["nn", "sad", "kmeans", "stencil", "spmv (small)"].map(String::from);
-    per_workload(jobs, "ablation-stub", &names, |w, _inner| overhead::run(w))
+    per_workload(jobs, "ablation-stub", &names, overhead::run)
 }
 
 /// One row of the liveness-ablation table.
@@ -188,7 +161,7 @@ pub fn ablation_spill(jobs: usize) -> (Vec<SpillRow>, Timing) {
         "miniFE (CSR)",
     ]
     .map(String::from);
-    per_workload(jobs, "ablation-spill", &names, |w, _inner| {
+    per_workload(jobs, "ablation-spill", &names, |w| {
         let (live_saves, all_saves) = overhead::spill_ablation(w);
         let (k_live, k_all) = overhead::run_spill_policy_ablation(w);
         SpillRow {

@@ -7,7 +7,7 @@
 //! writes under `results/`.
 
 use sassi_bench::campaigns;
-use sassi_studies::{branch, inject, memdiv, value};
+use sassi_studies::{branch, inject};
 use sassi_workloads::by_name;
 use serde::Serialize;
 
@@ -49,46 +49,11 @@ fn site_lists_are_a_pure_function_of_the_campaign_inputs() {
 #[test]
 fn branch_sweep_is_identical_across_job_counts() {
     let names = ["nn", "bfs (UT)", "gaussian"].map(String::from);
-    let study =
-        |w: &dyn sassi_workloads::Workload, inner: usize| branch::run_with_jobs(w, inner).row;
+    let study = |w: &dyn sassi_workloads::Workload| branch::run(w).row;
     let (serial, _) = campaigns::per_workload(1, "test-branch", &names, study);
     let (parallel, _) = campaigns::per_workload(4, "test-branch", &names, study);
-    // jobs=8 over 3 units leaves a share of 2 for inner CTA workers,
-    // exercising the split path as well.
-    let (split, _) = campaigns::per_workload(8, "test-branch", &names, study);
     assert_eq!(json(&serial), json(&parallel));
-    assert_eq!(json(&serial), json(&split));
     // Rows come back in set order, not completion order.
     let row_names: Vec<&str> = serial.iter().map(|r| r.name.as_str()).collect();
     assert_eq!(row_names, ["nn", "bfs (UT)", "gaussian"]);
-}
-
-#[test]
-fn instrumented_studies_are_identical_across_inner_job_counts() {
-    // The tentpole guarantee at the study level: running the CTA shards
-    // of every launch on 4 workers must leave each handler's merged
-    // state — and therefore the serialized study row — byte-identical
-    // to the serial run, for all three instrumentation case studies.
-    for name in ["nn", "bfs (UT)", "hotspot"] {
-        let w = by_name(name).expect("workload");
-        let b1 = branch::run_with_jobs(w.as_ref(), 1).row;
-        assert!(b1.dynamic_total > 0, "{name} must execute branches");
-        assert_eq!(
-            json(&b1),
-            json(&branch::run_with_jobs(w.as_ref(), 4).row),
-            "branch study diverges on {name}"
-        );
-        let m1 = memdiv::run_with_jobs(w.as_ref(), 1);
-        let m4 = memdiv::run_with_jobs(w.as_ref(), 4);
-        assert_eq!(
-            json(&(&m1.pmf, &m1.fully_diverged, &m1.matrix)),
-            json(&(&m4.pmf, &m4.fully_diverged, &m4.matrix)),
-            "memdiv study diverges on {name}"
-        );
-        assert_eq!(
-            json(&value::run_with_jobs(w.as_ref(), 1)),
-            json(&value::run_with_jobs(w.as_ref(), 4)),
-            "value study diverges on {name}"
-        );
-    }
 }

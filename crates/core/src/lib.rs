@@ -71,7 +71,7 @@ mod sassi;
 mod spec;
 mod trampoline;
 
-pub use handler::{FnHandler, Handler, HandlerShard, Scratch, SiteCtx};
+pub use handler::{FnHandler, Handler, SiteCtx};
 pub use params::{
     layout, BeforeParamsView, CondBranchParamsView, MemoryDomain, MemoryParamsView,
     RegisterParamsView,

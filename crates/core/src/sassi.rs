@@ -5,7 +5,7 @@ use crate::handler::{Handler, SiteCtx};
 use crate::pass;
 use crate::spec::{HandlerRef, InfoFlags, InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
 use sassi_isa::Function;
-use sassi_sim::{HandlerCost, HandlerRuntime, RuntimeShard, TrapCtx, TrapRef};
+use sassi_sim::{HandlerCost, HandlerRuntime, TrapCtx, TrapRef};
 
 struct NativeEntry {
     handler: Box<dyn Handler>,
@@ -19,6 +19,10 @@ struct NativeEntry {
 /// to each compiled function with [`Sassi::apply`] (conceptually the
 /// final `ptxas` pass of the paper's Figure 1), and pass the same
 /// object as the [`HandlerRuntime`] when launching kernels.
+///
+/// A `Sassi` runtime does not fork into per-shard copies, so a launch
+/// under it runs its CTA shards in order on the launching thread, and
+/// every handler sees every trap of the launch.
 ///
 /// ```
 /// use sassi::{FnHandler, Sassi, SiteFilter, InfoFlags};
@@ -147,36 +151,5 @@ impl HandlerRuntime for Sassi {
             what: entry.what,
         };
         entry.handler.handle(&mut ctx)
-    }
-
-    /// Forks the whole instrumentor for one SM shard: every native
-    /// handler must fork ([`Handler::fork`]), or the launch stays
-    /// sequential. The composed join merges each handler's shard state
-    /// in registration order.
-    fn fork_shard(&self) -> Option<RuntimeShard> {
-        let mut natives = Vec::with_capacity(self.natives.len());
-        let mut joins = Vec::with_capacity(self.natives.len());
-        for entry in &self.natives {
-            let shard = entry.handler.fork()?;
-            natives.push(NativeEntry {
-                handler: shard.handler,
-                what: entry.what,
-                point: entry.point,
-            });
-            joins.push(shard.join);
-        }
-        let forked = Sassi {
-            specs: self.specs.clone(),
-            natives,
-            policy: self.policy,
-        };
-        Some(RuntimeShard {
-            runtime: Box::new(forked),
-            join: Box::new(move || {
-                for join in joins {
-                    join();
-                }
-            }),
-        })
     }
 }

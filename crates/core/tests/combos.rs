@@ -5,13 +5,12 @@
 //! was never registered.
 
 use parking_lot::Mutex;
-use sassi::{
-    FnHandler, Handler, HandlerCost, HandlerShard, InfoFlags, InstPoint, Sassi, SiteCtx, SiteFilter,
-};
+use sassi::{FnHandler, Handler, HandlerCost, InfoFlags, InstPoint, Sassi, SiteCtx, SiteFilter};
 use sassi_isa::{FunctionMeta, Instr, Label, Op};
 use sassi_kir::{Compiler, KernelBuilder};
 use sassi_sim::{Device, ExecMode, LaunchDims, Module};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 fn run(func: sassi_isa::Function, sassi: &mut Sassi, out_words: u64) -> (Vec<u32>, u64) {
     let name = func.name.clone();
@@ -317,29 +316,17 @@ const POINT_COUNTER_COST: HandlerCost = HandlerCost {
     atomics: 0,
 };
 
-/// Records the site point of every visit. Forks into a handler sharing
-/// the same log (counting the forks), so CTA-parallel launches run
-/// forked instrumentors too.
+/// Records the site point of every visit and the thread it ran on.
 struct PointCounter {
-    visits: Arc<Mutex<Vec<InstPoint>>>,
-    forks: Arc<Mutex<u32>>,
+    visits: Arc<Mutex<Vec<(InstPoint, ThreadId)>>>,
 }
 
 impl Handler for PointCounter {
     fn handle(&mut self, site: &mut SiteCtx<'_, '_>) -> HandlerCost {
-        self.visits.lock().push(site.point);
+        self.visits
+            .lock()
+            .push((site.point, std::thread::current().id()));
         POINT_COUNTER_COST
-    }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        *self.forks.lock() += 1;
-        Some(HandlerShard {
-            handler: Box::new(PointCounter {
-                visits: self.visits.clone(),
-                forks: self.forks.clone(),
-            }),
-            join: Box::new(|| {}),
-        })
     }
 }
 
@@ -360,17 +347,17 @@ fn traps_dispatch_by_the_handler_id_the_jcal_names() {
     let module = Module::link(&[func]).unwrap();
     let dims = LaunchDims::linear(4, 64);
     let warps = 4 * 2;
+    let launcher = std::thread::current().id();
     for mode in [ExecMode::Decoded, ExecMode::Reference] {
+        let mut serial = None;
         for jobs in [1, 2] {
             let visits = Arc::new(Mutex::new(Vec::new()));
-            let forks = Arc::new(Mutex::new(0));
             let mut sassi = Sassi::new();
             let id = sassi.on_after(
                 SiteFilter::REG_WRITES,
                 InfoFlags::NONE,
                 Box::new(PointCounter {
                     visits: visits.clone(),
-                    forks: forks.clone(),
                 }),
             );
             assert_eq!(id, 0);
@@ -381,14 +368,18 @@ fn traps_dispatch_by_the_handler_id_the_jcal_names() {
                 .launch(&module, "k", dims, &[], &mut sassi, 0, 1 << 30)
                 .unwrap();
             assert!(res.is_ok(), "{mode:?} jobs={jobs}: {:?}", res.outcome);
-            assert_eq!(*forks.lock() > 0, jobs > 1, "parallel launches fork");
+            // Instrumented launches run their CTA shards in order on the
+            // launching thread, whatever the job count.
+            assert_eq!(*serial.get_or_insert(res), res, "{mode:?} jobs={jobs}");
             let visits = visits.lock();
             assert_eq!(
                 visits.len(),
                 warps,
                 "{mode:?} jobs={jobs}: one visit per warp"
             );
-            assert!(visits.iter().all(|p| *p == InstPoint::After));
+            assert!(visits
+                .iter()
+                .all(|&(p, thread)| p == InstPoint::After && thread == launcher));
             assert_eq!(
                 res.stats.handler_calls,
                 2 * warps as u64,

@@ -186,9 +186,12 @@ impl DeviceMemory {
         Ok(addr)
     }
 
-    /// Whether `[addr, addr+len)` lies inside a live allocation.
+    /// Whether `[addr, addr+len)` lies inside a live allocation. A
+    /// range that wraps past the top of the address space lies in none.
     pub fn check(&self, addr: u64, len: u32) -> bool {
-        let end = addr + len as u64;
+        let Some(end) = addr.checked_add(len as u64) else {
+            return false;
+        };
         self.allocations.iter().any(|&(s, e)| addr >= s && end <= e)
     }
 
@@ -374,6 +377,15 @@ mod tests {
             m.read_bytes(a + 4, 8),
             Err(MemError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn range_wrapping_the_address_space_is_out_of_bounds() {
+        let m = DeviceMemory::new(1 << 12);
+        assert_eq!(
+            m.read_u32(u64::MAX - 3),
+            Err(MemError::OutOfBounds { addr: u64::MAX - 3 })
+        );
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! destination) observe a cross-CTA total order, so such launches —
 //! and launches whose runtime declines to fork — run their shards
 //! sequentially on the calling thread instead, which is always
-//! deterministic. Fire-and-forget `RED` reductions are commutative and
-//! parallelize fine.
+//! deterministic. Only [`NoHandlers`](crate::NoHandlers) forks today,
+//! so every instrumented launch runs sequentially. Fire-and-forget
+//! `RED` reductions are commutative and parallelize fine.
 
 use crate::config::{GpuConfig, LaunchDims};
 use crate::decode::{DSrc, DecodedModule, UOp, GUARD_ALWAYS};

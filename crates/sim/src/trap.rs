@@ -281,7 +281,8 @@ pub trait HandlerRuntime {
     /// launch, or `None` if this runtime's state cannot be merged (the
     /// device then falls back to running shards sequentially, which is
     /// always correct). The default is `None`: order-dependent runtimes
-    /// stay sequential unless they opt in.
+    /// stay sequential unless they opt in. Only [`NoHandlers`] forks
+    /// today; instrumented runtimes take the default.
     fn fork_shard(&self) -> Option<RuntimeShard> {
         None
     }

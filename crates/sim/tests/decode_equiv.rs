@@ -251,7 +251,7 @@ proptest! {
 // fault must only fire if a warp actually reaches the site, with the
 // exact FaultKind the reference interpreter raises.
 
-use sassi_isa::{FunctionMeta, Instr, Label, Op};
+use sassi_isa::{FunctionMeta, Gpr, Instr, Label, MemAddr, MemWidth, Op};
 
 fn raw_module(code: Vec<Instr>) -> Module {
     let end = code.len() as u32;
@@ -325,6 +325,27 @@ fn unlinked_call_faults_identically() {
         Instr::new(Op::Exit),
     ]);
     assert_fault_parity(&m, FaultKind::InvalidPc { pc: 0 });
+}
+
+#[test]
+fn load_wrapping_the_address_space_faults_identically() {
+    // R2:R3 are zero at warp start, so `[R2-0x4]` is 2^64 - 4: the
+    // 4-byte range wraps past the top of the address space.
+    let m = raw_module(vec![
+        Instr::new(Op::Ld {
+            d: Gpr::new(0),
+            width: MemWidth::B32,
+            addr: MemAddr::global(Gpr::new(2), -4),
+            spill: false,
+        }),
+        Instr::new(Op::Exit),
+    ]);
+    assert_fault_parity(
+        &m,
+        FaultKind::MemViolation {
+            addr: 0xFFFF_FFFF_FFFF_FFFC,
+        },
+    );
 }
 
 #[test]

@@ -6,9 +6,8 @@
 //! elects the first active thread, and accumulates per-branch counters
 //! in a hash table keyed by the instruction's address.
 
-use crate::{shard, Merge};
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, HandlerShard, InfoFlags, Sassi, SiteCtx, SiteFilter};
+use sassi::{Handler, HandlerCost, InfoFlags, Sassi, SiteCtx, SiteFilter};
 use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -34,20 +33,6 @@ pub struct BranchStats {
 pub struct BranchState {
     /// Per-branch counters.
     pub branches: HashMap<u64, BranchStats>,
-}
-
-/// Every field is an entry-wise sum.
-impl Merge for BranchState {
-    fn merge(&mut self, other: &BranchState) {
-        for (addr, s) in &other.branches {
-            let e = self.branches.entry(*addr).or_default();
-            e.total_branches += s.total_branches;
-            e.divergent_branches += s.divergent_branches;
-            e.active_threads += s.active_threads;
-            e.taken_threads += s.taken_threads;
-            e.taken_not_threads += s.taken_not_threads;
-        }
-    }
 }
 
 struct BranchHandler {
@@ -89,10 +74,6 @@ impl Handler for BranchHandler {
             memory_ops: 2,
             atomics: 5,
         }
-    }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        shard::fork(&self.state, |state| Box::new(BranchHandler { state }))
     }
 }
 
@@ -155,12 +136,6 @@ pub fn instrumentor(state: Arc<Mutex<BranchState>>) -> Sassi {
 
 /// Runs Case Study I on one workload.
 pub fn run(w: &dyn Workload) -> BranchStudy {
-    run_with_jobs(w, 1)
-}
-
-/// Runs Case Study I with `cta_jobs` inner worker threads per launch.
-/// Results are byte-identical for any job count.
-pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> BranchStudy {
     // Static totals come from the compiled, uninstrumented binaries —
     // exactly what SASSI sees as the final compiler pass.
     let static_total: u64 = w
@@ -175,7 +150,7 @@ pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> BranchStudy {
         })
         .sum();
 
-    let st: BranchState = shard::run(w, cta_jobs, instrumentor);
+    let st: BranchState = crate::run(w, instrumentor);
     let mut per_branch: Vec<(u64, BranchStats)> =
         st.branches.iter().map(|(a, s)| (*a, *s)).collect();
     // Tie-break on address: `st.branches` is a HashMap, so equal

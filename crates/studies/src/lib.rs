@@ -15,6 +15,13 @@
 //! SASSI instrumentation from [`sassi`]; the handlers mirror the
 //! paper's CUDA handlers line by line (ballots, leader election,
 //! per-instruction hash tables, atomic accumulation).
+//!
+//! A study handler accumulates into `Arc<Mutex<S>>`. A launch under a
+//! [`Sassi`] runtime runs its CTA shards in order on the launching
+//! thread, so the lock is never contended. It stays because perfbench
+//! builds the study instrumentors around state it reads back itself
+//! (each module's `instrumentor`), until ROADMAP item 3 settles how a
+//! handler holds its state.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +31,29 @@ pub mod inject;
 pub mod memdiv;
 pub mod overhead;
 pub mod report;
-mod shard;
 pub mod value;
 
-pub use shard::Merge;
+use parking_lot::Mutex;
+use sassi::Sassi;
+use sassi_workloads::{execute, Workload};
+use std::sync::Arc;
+
+/// Runs `w` under the instrumentor `build` makes around a fresh `S`
+/// and returns the state the handlers accumulated.
+///
+/// # Panics
+///
+/// Panics if the instrumented run does not complete.
+fn run<S: Default>(w: &dyn Workload, build: fn(Arc<Mutex<S>>) -> Sassi) -> S {
+    let state = Arc::new(Mutex::new(S::default()));
+    let mut sassi = build(state.clone());
+    let report = execute(w, Some(&mut sassi), None);
+    assert!(
+        report.output.is_ok(),
+        "{}: {:?}",
+        w.name(),
+        report.output.err()
+    );
+    let st = std::mem::take(&mut *state.lock());
+    st
+}

@@ -7,12 +7,8 @@
 //! Figure 6 loop), and tallies a 32×32 matrix of (active lanes ×
 //! unique lines).
 
-use crate::{shard, Merge};
 use parking_lot::Mutex;
-use sassi::{
-    Handler, HandlerCost, HandlerShard, InfoFlags, MemoryDomain, Sassi, Scratch, SiteCtx,
-    SiteFilter,
-};
+use sassi::{Handler, HandlerCost, InfoFlags, MemoryDomain, Sassi, SiteCtx, SiteFilter};
 use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -31,17 +27,6 @@ impl Default for MemDivState {
     fn default() -> MemDivState {
         MemDivState {
             counters: vec![[0u64; 32]; 32],
-        }
-    }
-}
-
-/// Element-wise sum of the 32×32 matrix.
-impl Merge for MemDivState {
-    fn merge(&mut self, other: &MemDivState) {
-        for (row, orow) in self.counters.iter_mut().zip(&other.counters) {
-            for (cell, ocell) in row.iter_mut().zip(orow) {
-                *cell += ocell;
-            }
         }
     }
 }
@@ -96,17 +81,16 @@ impl MemDivState {
 
 struct MemDivHandler {
     state: Arc<Mutex<MemDivState>>,
-    /// Per-trap workset buffer, reset each trap; capacity persists so
-    /// steady-state handling never allocates.
-    scratch: Scratch,
 }
 
 impl Handler for MemDivHandler {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
         // Figure 6: filter out lanes whose guard is false, keep global
-        // accesses only, shift off the line offset bits.
-        self.scratch.reset();
-        let line_addrs = &mut self.scratch.words;
+        // accesses only, shift off the line offset bits. At most one
+        // line address per active lane, so the workset lives on the
+        // stack.
+        let mut line_addrs = [0u64; 32];
+        let mut num_active = 0;
         for lane in ctx.active_lanes() {
             let bp = ctx.params(lane);
             if !bp.will_execute(ctx.trap) {
@@ -116,9 +100,9 @@ impl Handler for MemDivHandler {
             if mp.domain(ctx.trap) != MemoryDomain::Global {
                 continue; // __isGlobal filter
             }
-            line_addrs.push(mp.address(ctx.trap) >> OFFSET_BITS);
+            line_addrs[num_active] = mp.address(ctx.trap) >> OFFSET_BITS;
+            num_active += 1;
         }
-        let num_active = line_addrs.len();
         if num_active == 0 {
             return HandlerCost {
                 instructions: 10,
@@ -146,15 +130,6 @@ impl Handler for MemDivHandler {
             atomics: 1,
         }
     }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        shard::fork(&self.state, |state| {
-            Box::new(MemDivHandler {
-                state,
-                scratch: Scratch::default(),
-            })
-        })
-    }
 }
 
 /// The study result for one workload.
@@ -176,23 +151,14 @@ pub fn instrumentor(state: Arc<Mutex<MemDivState>>) -> Sassi {
     sassi.on_before(
         SiteFilter::MEMORY,
         InfoFlags::MEMORY,
-        Box::new(MemDivHandler {
-            state,
-            scratch: Scratch::default(),
-        }),
+        Box::new(MemDivHandler { state }),
     );
     sassi
 }
 
 /// Runs Case Study II on one workload.
 pub fn run(w: &dyn Workload) -> MemDivStudy {
-    run_with_jobs(w, 1)
-}
-
-/// Runs Case Study II with `cta_jobs` inner worker threads per launch.
-/// Results are byte-identical for any job count.
-pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> MemDivStudy {
-    let st: MemDivState = shard::run(w, cta_jobs, instrumentor);
+    let st: MemDivState = crate::run(w, instrumentor);
     MemDivStudy {
         name: w.name(),
         pmf: st.pmf().to_vec(),

@@ -7,9 +7,8 @@
 //! (via `atomicAnd`-style accumulation), and whether every write in a
 //! warp carried the same value (scalar detection via `__shfl`/`__all`).
 
-use crate::{shard, Merge};
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, HandlerShard, InfoFlags, Sassi, SiteCtx, SiteFilter};
+use sassi::{Handler, HandlerCost, InfoFlags, Sassi, SiteCtx, SiteFilter};
 use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -60,27 +59,6 @@ pub struct InstrProfile {
 pub struct ValueState {
     /// Per-instruction profiles.
     pub instrs: HashMap<u64, InstrProfile>,
-}
-
-/// Weights sum, bit masks and scalar flags AND together.
-/// `DstProfile::new` starts at the AND identity (all-ones masks,
-/// scalar), so destinations one side never saw merge exactly.
-impl Merge for ValueState {
-    fn merge(&mut self, other: &ValueState) {
-        for (addr, prof) in &other.instrs {
-            let e = self.instrs.entry(*addr).or_default();
-            e.weight += prof.weight;
-            for (d, src) in prof.dsts.iter().enumerate() {
-                if let Some(dst) = e.dsts.get_mut(d) {
-                    dst.constant_ones &= src.constant_ones;
-                    dst.constant_zeros &= src.constant_zeros;
-                    dst.is_scalar &= src.is_scalar;
-                } else {
-                    e.dsts.push(*src);
-                }
-            }
-        }
-    }
 }
 
 struct ValueHandler {
@@ -142,10 +120,6 @@ impl Handler for ValueHandler {
             atomics: 3 * n,
         }
     }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        shard::fork(&self.state, |state| Box::new(ValueHandler { state }))
-    }
 }
 
 /// One Table 2 row.
@@ -176,13 +150,7 @@ pub fn instrumentor(state: Arc<Mutex<ValueState>>) -> Sassi {
 
 /// Runs Case Study III on one workload.
 pub fn run(w: &dyn Workload) -> ValueRow {
-    run_with_jobs(w, 1)
-}
-
-/// Runs Case Study III with `cta_jobs` inner worker threads per
-/// launch. Results are byte-identical for any job count.
-pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> ValueRow {
-    let st: ValueState = shard::run(w, cta_jobs, instrumentor);
+    let st: ValueState = crate::run(w, instrumentor);
 
     let (mut dyn_cb_num, mut dyn_cb_den) = (0f64, 0f64);
     let (mut dyn_sc_num, mut dyn_sc_den) = (0f64, 0f64);
