@@ -7,7 +7,7 @@
 //! interleaves trampolines and relocates branch targets and metadata.
 
 use crate::spec::{InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
-use crate::trampoline::{emit, Site};
+use crate::trampoline::{emit, saved_gprs, Site};
 use sassi_isa::{Function, FunctionMeta, Instr, Label, Op, RegSet};
 use sassi_kir::{sasslive, Cfg};
 use std::collections::BTreeMap;
@@ -150,16 +150,16 @@ pub(crate) fn count_sites(func: &Function, specs: &[InstrumentSpec]) -> usize {
         .sum()
 }
 
-/// Returns the set of live registers SASSI would save at each matched
-/// site — exposed for the ablation study comparing liveness-driven
-/// spilling against save-everything.
-pub fn planned_spills(func: &Function, specs: &[InstrumentSpec]) -> Vec<(u32, RegSet)> {
+/// Returns the registers SASSI would save under `policy` at each
+/// matched site — exposed for the ablation study comparing
+/// liveness-driven spilling against save-everything.
+pub fn planned_spills(
+    func: &Function,
+    specs: &[InstrumentSpec],
+    policy: SpillPolicy,
+) -> Vec<(u32, RegSet)> {
     let cfg = sasslive::cfg(func);
     let lv = sasslive::liveness(func, &cfg);
-    let mut clob = RegSet::new();
-    for r in crate::trampoline::clobberable() {
-        clob.insert_gpr(sassi_isa::Gpr::new(r));
-    }
     let mut outv = Vec::new();
     for (pc, ins) in func.instrs.iter().enumerate() {
         for spec in specs {
@@ -170,7 +170,7 @@ pub fn planned_spills(func: &Function, specs: &[InstrumentSpec]) -> Vec<(u32, Re
             } else {
                 continue;
             };
-            outv.push((pc as u32, live.intersection(&clob)));
+            outv.push((pc as u32, saved_gprs(live, policy)));
         }
     }
     outv

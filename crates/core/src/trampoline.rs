@@ -48,11 +48,18 @@ pub(crate) struct Site<'a> {
     pub handler: HandlerRef,
 }
 
-/// The handler-clobberable GPRs: R0 and R2..R15 (R1 is the stack
-/// pointer, preserved by the ABI; handlers are compiled under the
-/// 16-register cap so R16+ is never touched).
-pub(crate) fn clobberable() -> impl Iterator<Item = u8> {
-    (0u8..16).filter(|r| *r != 1)
+/// The GPRs a trampoline saves at a site where `live` is live: the
+/// live ∩ clobberable set under the liveness policy, or the whole
+/// clobberable set under the binary-rewriter baseline. The clobberable
+/// set is R0 and R2..R15: R1 is the stack pointer, preserved by the
+/// ABI, and handlers are compiled under the 16-register cap so R16+ is
+/// never touched.
+pub(crate) fn saved_gprs(live: &RegSet, policy: SpillPolicy) -> RegSet {
+    let clobberable: RegSet = (0u8..16).filter(|r| *r != 1).map(Gpr::new).collect();
+    match policy {
+        SpillPolicy::Liveness => live.intersection(&clobberable),
+        SpillPolicy::SaveEverything => clobberable,
+    }
 }
 
 fn frame_bytes(what: InfoFlags) -> i32 {
@@ -138,17 +145,10 @@ pub(crate) fn emit(out: &mut Vec<Instr>, site: &Site<'_>) {
         cc: false,
     });
 
-    // 2a. Save GPRs into the spill area: the live ∩ clobberable set
-    // under the liveness policy, or everything clobberable under the
-    // binary-rewriter baseline.
-    let spilled: Vec<u8> = match site.policy {
-        SpillPolicy::Liveness => clobberable()
-            .filter(|r| site.live.contains_gpr(Gpr::new(*r)))
-            .collect(),
-        SpillPolicy::SaveEverything => clobberable().collect(),
-    };
-    for &r in &spilled {
-        e.stl_spill(layout::GPR_SPILL + 4 * r as i32, Gpr::new(r));
+    // 2a. Save GPRs into the spill area.
+    let spilled = saved_gprs(site.live, site.policy);
+    for r in spilled.iter_gprs() {
+        e.stl_spill(layout::GPR_SPILL + 4 * r.index() as i32, r);
     }
 
     // 3a. Extra parameter object (built before anything clobbers
@@ -190,9 +190,9 @@ pub(crate) fn emit(out: &mut Vec<Instr>, site: &Site<'_>) {
     e.store_imm(r3, layout::FN_ADDR, site.fn_addr);
     e.store_imm(r3, layout::INS_OFFSET, site.pc);
     e.store_imm(r3, layout::INS_ENCODING, site.ins.encode_static());
-    let live_mask: u32 = clobberable()
-        .filter(|r| site.live.contains_gpr(Gpr::new(*r)))
-        .map(|r| 1u32 << r)
+    let live_mask: u32 = saved_gprs(site.live, SpillPolicy::Liveness)
+        .iter_gprs()
+        .map(|r| 1u32 << r.index())
         .sum();
     e.store_imm(r3, layout::LIVE_MASK, live_mask);
 
@@ -252,8 +252,8 @@ pub(crate) fn emit(out: &mut Vec<Instr>, site: &Site<'_>) {
     });
     e.ldl_spill(r3, layout::PR_SPILL);
     e.push(Op::R2P { a: r3 });
-    for &r in &spilled {
-        e.ldl_spill(Gpr::new(r), layout::GPR_SPILL + 4 * r as i32);
+    for r in spilled.iter_gprs() {
+        e.ldl_spill(r, layout::GPR_SPILL + 4 * r.index() as i32);
     }
     e.push(Op::IAdd {
         d: Gpr::SP,

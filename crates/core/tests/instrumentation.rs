@@ -4,7 +4,7 @@
 //! parameter objects promise.
 
 use parking_lot::Mutex;
-use sassi::{FnHandler, InfoFlags, MemoryDomain, Sassi, SiteFilter};
+use sassi::{FnHandler, InfoFlags, MemoryDomain, Sassi, SiteFilter, SpillPolicy};
 use sassi_kir::{Compiler, KernelBuilder};
 use sassi_sim::{Device, LaunchDims, Module};
 use std::sync::Arc;
@@ -410,11 +410,13 @@ fn spill_coverage_is_liveness_driven() {
         InfoFlags::NONE,
         Box::new(FnHandler::free(|_| {})),
     );
-    let spills = sassi::planned_spills(&func, sassi.specs());
+    let spills = sassi::planned_spills(&func, sassi.specs(), SpillPolicy::Liveness);
     assert_eq!(spills.len(), func.len());
-    let max_possible = 15; // R0, R2..R15
+    let all = sassi::planned_spills(&func, sassi.specs(), SpillPolicy::SaveEverything);
+    // Save-everything saves R0 and R2..R15 at every site.
+    assert!(all.iter().all(|(_, s)| s.gpr_count() == 15));
     let total: u32 = spills.iter().map(|(_, s)| s.gpr_count()).sum();
-    let upper = (spills.len() as u32) * max_possible;
+    let upper: u32 = all.iter().map(|(_, s)| s.gpr_count()).sum();
     assert!(
         total < upper / 2,
         "liveness-driven spilling should save far fewer than save-everything \

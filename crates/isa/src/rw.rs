@@ -32,13 +32,14 @@ impl RegSet {
         }
     }
 
-    /// Inserts `count` consecutive GPRs starting at `r`.
+    /// Inserts `count` consecutive GPRs starting at `r`. A run that
+    /// reaches past `R254` keeps only the registers that exist.
     pub fn insert_gpr_run(&mut self, r: Gpr, count: u8) {
         if r.is_rz() {
             return;
         }
-        for k in 0..count {
-            self.insert_gpr(Gpr::new(r.index() + k));
+        for i in r.index()..r.index().saturating_add(count).min(Gpr::RZ.index()) {
+            self.insert_gpr(Gpr::new(i));
         }
     }
 
@@ -83,6 +84,13 @@ impl RegSet {
         self.gprs.iter().map(|w| w.count_ones()).sum()
     }
 
+    /// The highest-numbered GPR in the set, if it holds any.
+    pub fn max_gpr(&self) -> Option<Gpr> {
+        let w = self.gprs.iter().rposition(|&word| word != 0)?;
+        let bit = 63 - self.gprs[w].leading_zeros() as usize;
+        Some(Gpr::new((w * 64 + bit) as u8))
+    }
+
     /// Number of predicates in the set.
     pub fn pred_count(&self) -> u32 {
         self.preds.count_ones()
@@ -119,9 +127,16 @@ impl RegSet {
 
     /// Iterates the GPRs in ascending register order.
     pub fn iter_gprs(&self) -> impl Iterator<Item = Gpr> + '_ {
-        (0u16..255).filter_map(move |i| {
-            let r = Gpr::new(i as u8);
-            self.contains_gpr(r).then_some(r)
+        self.gprs.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(Gpr::new((w * 64 + bit) as u8))
+            })
         })
     }
 
@@ -169,10 +184,7 @@ fn use_src(set: &mut RegSet, s: &Src) {
 }
 
 fn use_addr(set: &mut RegSet, a: &MemAddr) {
-    set.insert_gpr(a.base);
-    if a.is_wide_base() && !a.base.is_rz() {
-        set.insert_gpr(a.base.pair_hi());
-    }
+    set.insert_gpr_run(a.base, if a.is_wide_base() { 2 } else { 1 });
 }
 
 fn def_wide(set: &mut RegSet, d: Gpr, width: MemWidth) {
@@ -420,6 +432,9 @@ mod tests {
         let s: RegSet = [r(9), r(2), r(31)].into_iter().collect();
         let got: Vec<u8> = s.iter_gprs().map(|g| g.index()).collect();
         assert_eq!(got, vec![2, 9, 31]);
+        let s: RegSet = [r(254), r(64), r(63), r(0), r(128)].into_iter().collect();
+        let got: Vec<u8> = s.iter_gprs().map(|g| g.index()).collect();
+        assert_eq!(got, vec![0, 63, 64, 128, 254]);
     }
 
     #[test]
@@ -503,5 +518,30 @@ mod tests {
             assert!(du.defs.contains_gpr(r(k)));
         }
         assert!(!du.defs.contains_gpr(r(12)));
+    }
+
+    #[test]
+    fn max_gpr_is_the_highest_member() {
+        assert_eq!(RegSet::new().max_gpr(), None);
+        let s: RegSet = [r(9), r(2), r(63)].into_iter().collect();
+        assert_eq!(s.max_gpr(), Some(r(63)));
+        let s: RegSet = [r(64), r(254), Gpr::RZ].into_iter().collect();
+        assert_eq!(s.max_gpr(), Some(r(254)));
+    }
+
+    #[test]
+    fn runs_past_r254_keep_the_registers_that_exist() {
+        // A quad at R252 and a wide base at R254 name R255, which does
+        // not exist: the sets stop at R254 instead of panicking.
+        let i = Instr::new(Op::Ld {
+            d: r(252),
+            width: MemWidth::B128,
+            addr: MemAddr::global(r(254), 0),
+            spill: false,
+        });
+        let du = i.defs_uses();
+        assert_eq!(du.defs.gpr_count(), 3);
+        assert_eq!(du.defs.max_gpr(), Some(r(254)));
+        assert_eq!(du.uses.gpr_count(), 1);
     }
 }

@@ -35,7 +35,7 @@
 use crate::stats::{FaultKind, IssueClass};
 use sassi_isa::{
     AddrSpace, AtomOp, CmpOp, Gpr, Instr, Label, LogicOp, MemAddr, MemWidth, MufuFunc, Op, PredReg,
-    ShflMode, SpecialReg, Src, VoteMode,
+    RegSet, ShflMode, SpecialReg, Src, VoteMode,
 };
 
 /// Guard byte sentinel: the statically-always-true guard (`@PT`).
@@ -445,6 +445,8 @@ pub struct DecodedModule {
     /// (`ATOM` with a live destination, or any CAS/EXCH). See
     /// [`DecodedModule::has_consuming_global_atomics`].
     consuming_global_atomics: bool,
+    /// One past the highest GPR any instruction names.
+    regs_used: u32,
 }
 
 impl DecodedModule {
@@ -456,7 +458,11 @@ impl DecodedModule {
         let mut code = Vec::with_capacity(n);
         let mut sites = Vec::new();
         let mut consuming_global_atomics = false;
+        let mut named = RegSet::new();
         for (pc, ins) in instrs.iter().enumerate() {
+            let du = ins.defs_uses();
+            named.union_with(&du.defs);
+            named.union_with(&du.uses);
             let mut di = decode_instr(ins, n as u32);
             if let UOp::Trap { handler, site } = &mut di.uop {
                 *site = sites.len() as u32;
@@ -480,7 +486,15 @@ impl DecodedModule {
             blocks,
             block_idx,
             consuming_global_atomics,
+            regs_used: named.max_gpr().map_or(0, |r| r.index() as u32 + 1),
         }
+    }
+
+    /// How many registers per thread the code needs: one past the
+    /// highest GPR any instruction names, halves of pairs and quads
+    /// included. A launch fails if the SM provisions fewer.
+    pub fn regs_used(&self) -> u32 {
+        self.regs_used
     }
 
     /// Whether the module contains a global (or generic) atomic whose

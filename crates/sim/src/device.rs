@@ -216,6 +216,13 @@ impl Device {
                 self.cfg.shared_per_sm
             )));
         }
+        let regs = module.decoded().regs_used();
+        if regs > self.cfg.regs_per_thread {
+            return Err(LaunchError::BadGeometry(format!(
+                "code needs {regs} registers per thread, SM provisions {}",
+                self.cfg.regs_per_thread
+            )));
+        }
 
         let total = dims.total_blocks();
         let num_shards = self.cfg.num_sms.min(total).max(1) as usize;

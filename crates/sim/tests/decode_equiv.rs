@@ -12,8 +12,8 @@ use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
 use sassi_kir::{Compiler, KernelBuilder, V32};
 use sassi_rt::{LaunchRecord, ModuleBuilder, Runtime};
 use sassi_sim::{
-    Device, ExecMode, FaultKind, KernelOutcome, LaunchDims, LaunchResult, LinkedFunction, Module,
-    NoHandlers,
+    Device, ExecMode, FaultKind, KernelOutcome, LaunchDims, LaunchError, LaunchResult,
+    LinkedFunction, Module, NoHandlers,
 };
 use sassi_workloads::{all_workloads, RunFailure, Workload, WorkloadOutput};
 use std::collections::BTreeMap;
@@ -346,6 +346,37 @@ fn load_wrapping_the_address_space_faults_identically() {
             addr: 0xFFFF_FFFF_FFFF_FFFC,
         },
     );
+}
+
+#[test]
+fn unprovisioned_register_is_rejected_at_launch() {
+    // The SM provisions 64 registers per thread. Lane l's R100 would be
+    // lane l+1's R36, so the launch must fail before any warp runs.
+    let m = raw_module(vec![
+        Instr::new(Op::Mov32I {
+            d: Gpr::new(100),
+            imm: 0x7,
+        }),
+        Instr::new(Op::Exit),
+    ]);
+    assert_eq!(m.decoded().regs_used(), 101);
+    for mode in [ExecMode::Decoded, ExecMode::Reference] {
+        let mut dev = Device::with_defaults();
+        dev.exec_mode = mode;
+        let r = dev.launch(
+            &m,
+            "k",
+            LaunchDims::linear(1, 32),
+            &[],
+            &mut NoHandlers,
+            0,
+            1 << 20,
+        );
+        assert!(
+            matches!(r, Err(LaunchError::BadGeometry(_))),
+            "{mode:?}: {r:?}"
+        );
+    }
 }
 
 #[test]

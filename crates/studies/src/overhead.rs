@@ -216,21 +216,29 @@ pub fn spill_ablation(w: &dyn Workload) -> (f64, f64) {
         InfoFlags::NONE,
         Box::new(FnHandler::free(|_| {})),
     );
-    let mut live_total = 0u64;
-    let mut sites = 0u64;
-    for k in w.kernels() {
-        let f = sassi_kir::Compiler::new().compile(&k).expect("compile");
-        for (_, set) in sassi::planned_spills(&f, sassi.specs()) {
-            live_total += set.gpr_count() as u64;
-            sites += 1;
+    let funcs: Vec<_> = w
+        .kernels()
+        .iter()
+        .map(|k| sassi_kir::Compiler::new().compile(k).expect("compile"))
+        .collect();
+    let avg_saves = |policy| {
+        let (mut saves, mut sites) = (0u64, 0u64);
+        for f in &funcs {
+            for (_, set) in sassi::planned_spills(f, sassi.specs(), policy) {
+                saves += set.gpr_count() as u64;
+                sites += 1;
+            }
         }
-    }
-    let avg_live = if sites == 0 {
-        0.0
-    } else {
-        live_total as f64 / sites as f64
+        if sites == 0 {
+            0.0
+        } else {
+            saves as f64 / sites as f64
+        }
     };
-    (avg_live, 15.0) // save-everything = R0, R2..R15
+    (
+        avg_saves(sassi::SpillPolicy::Liveness),
+        avg_saves(sassi::SpillPolicy::SaveEverything),
+    )
 }
 
 #[cfg(test)]

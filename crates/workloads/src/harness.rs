@@ -4,7 +4,9 @@
 use sassi::Sassi;
 use sassi_kir::KFunction;
 use sassi_rt::{AppClock, ModuleBuilder, Runtime};
-use sassi_sim::{Device, HandlerRuntime, KernelOutcome, LaunchError, Module, NoHandlers};
+use sassi_sim::{
+    Device, HandlerRuntime, KernelOutcome, LaunchDims, LaunchError, Module, NoHandlers,
+};
 use std::fmt;
 
 /// What a run produced: the program's "output files" (device buffers
@@ -14,8 +16,18 @@ use std::fmt;
 pub struct WorkloadOutput {
     /// Downloaded result buffers.
     pub buffers: Vec<Vec<u32>>,
-    /// Host-printed summary (derived from the buffers).
+    /// Host-printed summary: a checksum line per buffer, except that
+    /// bfs prepends the number of rounds it ran.
     pub summary: String,
+}
+
+impl WorkloadOutput {
+    /// The output of a run whose stdout is a checksum of each buffer,
+    /// as real benchmarks print.
+    pub fn new(buffers: Vec<Vec<u32>>) -> WorkloadOutput {
+        let summary = summarize(&buffers);
+        WorkloadOutput { buffers, summary }
+    }
 }
 
 /// Why a workload run did not produce output.
@@ -46,10 +58,22 @@ impl From<LaunchError> for RunFailure {
     }
 }
 
-/// Converts a launch result into a harness error when the kernel did
-/// not complete (the CUDA sticky-error behaviour).
-pub fn check_outcome(res: &sassi_sim::LaunchResult) -> Result<(), RunFailure> {
-    match res.outcome {
+/// Launches `kernel` and fails the run when it does not complete: the
+/// application aborts on the first failed kernel, as CUDA's sticky
+/// error makes it.
+///
+/// # Errors
+///
+/// [`RunFailure`] when the kernel faults, hangs or cannot launch.
+pub fn launch(
+    rt: &mut Runtime,
+    module: &Module,
+    kernel: &str,
+    dims: LaunchDims,
+    params: &[u64],
+    handlers: &mut dyn HandlerRuntime,
+) -> Result<(), RunFailure> {
+    match rt.launch(module, kernel, dims, params, handlers)?.outcome {
         KernelOutcome::Completed => Ok(()),
         KernelOutcome::Fault(i) => Err(RunFailure::Fault(i)),
         KernelOutcome::Hang => Err(RunFailure::Hang),
@@ -200,8 +224,8 @@ pub fn verify_golden(w: &dyn Workload) -> ExecutionReport {
 }
 
 /// Summarizes buffers into the "stdout" string: a short per-buffer
-/// checksum, as real benchmarks print.
-pub fn summarize(buffers: &[Vec<u32>]) -> String {
+/// checksum.
+fn summarize(buffers: &[Vec<u32>]) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     for (i, b) in buffers.iter().enumerate() {

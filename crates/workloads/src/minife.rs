@@ -153,7 +153,8 @@ impl Workload for MiniFe {
                 let d_rp = rt.alloc_u32(&m.row_ptr);
                 let d_ci = rt.alloc_u32(&m.col_idx);
                 let d_v = rt.alloc_u32(&m.values);
-                let res = rt.launch(
+                launch(
+                    rt,
                     module,
                     "minife_csr",
                     dims,
@@ -167,13 +168,13 @@ impl Workload for MiniFe {
                     ],
                     handlers,
                 )?;
-                check_outcome(&res)?;
             }
             MiniFeFormat::Ell => {
                 let (width, cols, vals) = m.to_ell();
                 let d_c = rt.alloc_u32(&cols);
                 let d_v = rt.alloc_u32(&vals);
-                let res = rt.launch(
+                launch(
+                    rt,
                     module,
                     "minife_ell",
                     dims,
@@ -187,27 +188,22 @@ impl Workload for MiniFe {
                     ],
                     handlers,
                 )?;
-                check_outcome(&res)?;
             }
         }
 
         let d_dot = rt.alloc_zeroed_u32(1);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "minife_dot",
             dims,
             &[m.rows as u64, d_y.addr, d_x.addr, d_dot.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
 
         let y = rt.read_u32(d_y);
         let dot = rt.read_u32(d_dot);
-        let summary = summarize(&[y.clone(), dot.clone()]);
-        Ok(WorkloadOutput {
-            buffers: vec![y, dot],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![y, dot]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -218,10 +214,6 @@ impl Workload for MiniFe {
             .iter()
             .zip(&x)
             .fold(0u32, |acc, (&a, &b)| acc.wrapping_add(a.wrapping_mul(b)))];
-        let summary = summarize(&[y.clone(), dot.clone()]);
-        WorkloadOutput {
-            buffers: vec![y, dot],
-            summary,
-        }
+        WorkloadOutput::new(vec![y, dot])
     }
 }

@@ -103,20 +103,16 @@ impl Workload for Tpacf {
         let de = rt.alloc_u32(&self.edges());
         let dh = rt.alloc_zeroed_u32(self.bins);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "tpacf",
             dims,
             &[self.n as u64, dx.addr, dy.addr, de.addr, dh.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(dh);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -135,11 +131,7 @@ impl Workload for Tpacf {
                 h[bin] += 1;
             }
         }
-        let summary = summarize(std::slice::from_ref(&h));
-        WorkloadOutput {
-            buffers: vec![h],
-            summary,
-        }
+        WorkloadOutput::new(vec![h])
     }
 }
 
@@ -286,7 +278,8 @@ impl Workload for Lbm {
             // Carry non-updated cells through.
             let cur = rt.read_u32(bufs[0]);
             rt.write_u32(bufs[1], &cur);
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "lbm_step",
                 dims,
@@ -299,15 +292,10 @@ impl Workload for Lbm {
                 ],
                 handlers,
             )?;
-            check_outcome(&res)?;
             bufs.swap(0, 1);
         }
         let out = rt.read_u32(bufs[0]);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -316,11 +304,7 @@ impl Workload for Lbm {
         for _ in 0..self.steps {
             f = self.host_step(&f, &obs);
         }
-        let summary = summarize(std::slice::from_ref(&f));
-        WorkloadOutput {
-            buffers: vec![f],
-            summary,
-        }
+        WorkloadOutput::new(vec![f])
     }
 }
 
@@ -420,20 +404,16 @@ impl Workload for Sad {
         let dr = rt.alloc_u32(&reference);
         let douts = rt.alloc_zeroed_u32(self.n);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "sad",
             dims,
             &[self.n as u64, dc.addr, dr.addr, douts.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(douts);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -451,11 +431,7 @@ impl Workload for Sad {
             }
             out[t] = best;
         }
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -563,7 +539,8 @@ impl Workload for Cutcp {
         let dq = rt.alloc_u32(&q);
         let douts = rt.alloc_zeroed_u32(self.points);
         let dims = LaunchDims::linear(grid_for(self.points as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "cutcp",
             dims,
@@ -577,13 +554,8 @@ impl Workload for Cutcp {
             ],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(douts);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -605,11 +577,7 @@ impl Workload for Cutcp {
                 acc.to_bits()
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -706,7 +674,8 @@ impl Workload for MriQ {
         let dor = rt.alloc_zeroed_u32(self.n);
         let doi = rt.alloc_zeroed_u32(self.n);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "mriq",
             dims,
@@ -721,14 +690,9 @@ impl Workload for MriQ {
             ],
             handlers,
         )?;
-        check_outcome(&res)?;
         let outr = rt.read_u32(dor);
         let outi = rt.read_u32(doi);
-        let summary = summarize(&[outr.clone(), outi.clone()]);
-        Ok(WorkloadOutput {
-            buffers: vec![outr, outi],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![outr, outi]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -747,11 +711,7 @@ impl Workload for MriQ {
             outr[t] = qr.to_bits();
             outi[t] = qi.to_bits();
         }
-        let summary = summarize(&[outr.clone(), outi.clone()]);
-        WorkloadOutput {
-            buffers: vec![outr, outi],
-            summary,
-        }
+        WorkloadOutput::new(vec![outr, outi])
     }
 }
 
@@ -845,20 +805,16 @@ impl Workload for MriGridding {
         let dw = rt.alloc_u32(&wgt);
         let douts = rt.alloc_zeroed_u32(self.grid);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "gridding",
             dims,
             &[self.n as u64, dp.addr, dw.addr, douts.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(douts);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -875,10 +831,6 @@ impl Workload for MriGridding {
                 g = g.wrapping_add(1);
             }
         }
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }

@@ -69,21 +69,17 @@ impl Workload for Histo {
         let d_in = rt.alloc_u32(&input);
         let d_h = rt.alloc_zeroed_u32(256);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 256), 256);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "histo",
             dims,
             &[self.n as u64, d_in.addr, d_h.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_h);
         rt.clock.add_host(0.2e-3);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -91,10 +87,6 @@ impl Workload for Histo {
         for v in self.input() {
             h[v as usize] += 1;
         }
-        let summary = summarize(std::slice::from_ref(&h));
-        WorkloadOutput {
-            buffers: vec![h],
-            summary,
-        }
+        WorkloadOutput::new(vec![h])
     }
 }

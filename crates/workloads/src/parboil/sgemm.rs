@@ -115,30 +115,22 @@ impl Workload for Sgemm {
         let dc = rt.alloc_zeroed_u32((self.n * self.n) as usize);
         let blocks = self.n.div_ceil(16);
         let dims = LaunchDims::plane((blocks, blocks), (16, 16));
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "sgemm",
             dims,
             &[self.n as u64, da.addr, db.addr, dc.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(dc);
         rt.clock.add_host(0.2e-3);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
         let (a, bm) = self.inputs();
         let c = self.host_gemm(&a, &bm);
-        let summary = summarize(std::slice::from_ref(&c));
-        WorkloadOutput {
-            buffers: vec![c],
-            summary,
-        }
+        WorkloadOutput::new(vec![c])
     }
 }

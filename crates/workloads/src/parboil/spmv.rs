@@ -109,7 +109,8 @@ impl Workload for Spmv {
         let d_x = rt.alloc_u32(&x);
         let d_y = rt.alloc_zeroed_u32(m.rows);
         let dims = LaunchDims::linear(grid_for(m.rows as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "spmv_csr",
             dims,
@@ -123,22 +124,13 @@ impl Workload for Spmv {
             ],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_y);
         rt.clock.add_host(0.1e-3);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
         let y = self.matrix().spmv(&self.x());
-        let summary = summarize(std::slice::from_ref(&y));
-        WorkloadOutput {
-            buffers: vec![y],
-            summary,
-        }
+        WorkloadOutput::new(vec![y])
     }
 }

@@ -150,7 +150,8 @@ impl Workload for Stencil {
         let src = rt.alloc_u32(&a);
         let dst = rt.alloc_u32(&a); // boundaries carry through
         let dims = LaunchDims::plane((self.nx.div_ceil(16), self.ny.div_ceil(16)), (16, 16));
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "stencil",
             dims,
@@ -163,21 +164,12 @@ impl Workload for Stencil {
             ],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(dst);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
         let out = self.host_stencil(&self.input());
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }

@@ -1,7 +1,7 @@
 //! Shared imports for workload modules.
 
 pub use crate::data;
-pub use crate::harness::{check_outcome, summarize, RunFailure, Workload, WorkloadOutput};
+pub use crate::harness::{launch, RunFailure, Workload, WorkloadOutput};
 pub use sassi_kir::{KFunction, KernelBuilder, VSrc, V32, V64};
 pub use sassi_rt::{DevBuf, Runtime};
 pub use sassi_sim::{HandlerRuntime, LaunchDims, Module};

@@ -138,7 +138,8 @@ impl Workload for RodiniaBfs {
         for _ in 0..n {
             rounds += 1;
             rt.write_u32(d_go, &[0]);
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "rbfs_k1",
                 dims,
@@ -153,25 +154,22 @@ impl Workload for RodiniaBfs {
                 ],
                 handlers,
             )?;
-            check_outcome(&res)?;
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "rbfs_k2",
                 dims,
                 &[n as u64, d_f.addr, d_v.addr, d_u.addr, d_go.addr],
                 handlers,
             )?;
-            check_outcome(&res)?;
             if rt.read_u32(d_go)[0] == 0 {
                 break;
             }
         }
         let out = rt.read_u32(d_cost);
-        let summary = format!("rounds={rounds}\n{}", summarize(std::slice::from_ref(&out)));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        let mut output = WorkloadOutput::new(vec![out]);
+        output.summary.insert_str(0, &format!("rounds={rounds}\n"));
+        Ok(output)
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -183,10 +181,8 @@ impl Workload for RodiniaBfs {
             .copied()
             .unwrap_or(0)
             + 1;
-        let summary = format!("rounds={rounds}\n{}", summarize(std::slice::from_ref(&d)));
-        WorkloadOutput {
-            buffers: vec![d],
-            summary,
-        }
+        let mut output = WorkloadOutput::new(vec![d]);
+        output.summary.insert_str(0, &format!("rounds={rounds}\n"));
+        output
     }
 }

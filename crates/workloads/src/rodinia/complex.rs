@@ -107,20 +107,16 @@ impl Workload for Heartwall {
         let d_a = rt.alloc_u32(&self.anchors());
         let d_o = rt.alloc_zeroed_u32(self.points);
         let dims = LaunchDims::linear(grid_for(self.points as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "heartwall",
             dims,
             &[self.points as u64, d_s.addr, d_a.addr, d_o.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -144,11 +140,7 @@ impl Workload for Heartwall {
                 best.1
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -265,20 +257,16 @@ impl Workload for BplusTree {
         let d_q = rt.alloc_u32(&self.queries_vec());
         let d_o = rt.alloc_zeroed_u32(self.queries);
         let dims = LaunchDims::linear(grid_for(self.queries as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "btree_search",
             dims,
             &[self.queries as u64, d_s.addr, d_q.addr, d_o.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -306,11 +294,7 @@ impl Workload for BplusTree {
                 node
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -430,20 +414,16 @@ impl Workload for Backprop {
         let d_x = rt.alloc_u32(&self.input());
         let d_o = rt.alloc_zeroed_u32(self.hidden);
         let dims = LaunchDims::linear(self.hidden as u32, self.inputs as u32);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "backprop_fwd",
             dims,
             &[self.inputs as u64, d_w.addr, d_x.addr, d_o.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -456,11 +436,7 @@ impl Workload for Backprop {
                 })
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -563,14 +539,9 @@ impl Workload for LavaMd {
         let d_p = rt.alloc_u32(&self.positions());
         let d_o = rt.alloc_zeroed_u32(self.boxes * self.per_box);
         let dims = LaunchDims::linear(self.boxes as u32, self.per_box as u32);
-        let res = rt.launch(module, "lavamd", dims, &[d_p.addr, d_o.addr], handlers)?;
-        check_outcome(&res)?;
+        launch(rt, module, "lavamd", dims, &[d_p.addr, d_o.addr], handlers)?;
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -594,11 +565,7 @@ impl Workload for LavaMd {
                 acc
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -710,20 +677,16 @@ impl Workload for MummerGpu {
         let d_s = rt.alloc_u32(&self.starts());
         let d_o = rt.alloc_zeroed_u32(self.queries);
         let dims = LaunchDims::linear(grid_for(self.queries as u32, 128), 128);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "mummer",
             dims,
             &[self.queries as u64, d_r.addr, d_s.addr, d_o.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -745,10 +708,6 @@ impl Workload for MummerGpu {
                 len
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }

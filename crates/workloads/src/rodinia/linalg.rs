@@ -143,39 +143,31 @@ impl Workload for Gaussian {
         let d_m = rt.alloc_zeroed_u32(n);
         for k in 0..n - 1 {
             let rows = (n - k - 1) as u32;
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "fan1",
                 LaunchDims::linear(grid_for(rows, 64), 64),
                 &[n as u64, k as u64, d_a.addr, d_m.addr],
                 handlers,
             )?;
-            check_outcome(&res)?;
             let cols = (n - k) as u32;
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "fan2",
                 LaunchDims::plane((cols.div_ceil(16), rows.div_ceil(16)), (16, 16)),
                 &[n as u64, k as u64, d_a.addr, d_m.addr],
                 handlers,
             )?;
-            check_outcome(&res)?;
         }
         let out = rt.read_u32(d_a);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
         let out = self.host_eliminate();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -325,29 +317,21 @@ impl Workload for Lud {
         let d_a = rt.alloc_u32(&self.matrix());
         let d_o = rt.alloc_zeroed_u32(n * n);
         let blocks = (n as u32) / 16;
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "lud_tile",
             LaunchDims::plane((blocks, blocks), (16, 16)),
             &[n as u64, d_a.addr, d_o.addr],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
         let out = self.host();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -479,29 +463,21 @@ impl Workload for Nw {
             let lo = if d > n { d - n } else { 1 };
             let hi = n.min(d - 1);
             let count = (hi - lo + 1) as u32;
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "nw_diag",
                 LaunchDims::linear(grid_for(count, 64), 64),
                 &[n as u64, d as u64, d_s.addr, d_sim.addr, self.gap as u64],
                 handlers,
             )?;
-            check_outcome(&res)?;
         }
         let out = rt.read_u32(d_s);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
         let out = self.host();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }

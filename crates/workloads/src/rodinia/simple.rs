@@ -82,20 +82,16 @@ impl Workload for Nn {
         let dout = rt.alloc_zeroed_u32(self.n);
         let q = (0.5f32.to_bits() as u64, 0.25f32.to_bits() as u64);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 256), 256);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "nn",
             dims,
             &[self.n as u64, dx.addr, dy.addr, dout.addr, q.0, q.1],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(dout);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -110,11 +106,7 @@ impl Workload for Nn {
                 d2.sqrt().to_bits()
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -214,22 +206,18 @@ impl Workload for Pathfinder {
         let rows: Vec<DevBuf> = grid[1..].iter().map(|r| rt.alloc_u32(r)).collect();
         for row in &rows {
             let dims = LaunchDims::linear(grid_for(self.cols as u32, 256), 256);
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "pathfinder_step",
                 dims,
                 &[self.cols as u64, bufs[0].addr, row.addr, bufs[1].addr],
                 handlers,
             )?;
-            check_outcome(&res)?;
             bufs.swap(0, 1);
         }
         let out = rt.read_u32(bufs[0]);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -249,11 +237,7 @@ impl Workload for Pathfinder {
             }
             prev = next;
         }
-        let summary = summarize(std::slice::from_ref(&prev));
-        WorkloadOutput {
-            buffers: vec![prev],
-            summary,
-        }
+        WorkloadOutput::new(vec![prev])
     }
 }
 
@@ -359,7 +343,8 @@ impl Workload for Kmeans {
         let d_cy = rt.alloc_u32(&cy);
         let d_a = rt.alloc_zeroed_u32(self.n);
         let dims = LaunchDims::linear(grid_for(self.n as u32, 256), 256);
-        let res = rt.launch(
+        launch(
+            rt,
             module,
             "kmeans_assign",
             dims,
@@ -374,13 +359,8 @@ impl Workload for Kmeans {
             ],
             handlers,
         )?;
-        check_outcome(&res)?;
         let out = rt.read_u32(d_a);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -400,11 +380,7 @@ impl Workload for Kmeans {
                 best.1
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }
 
@@ -511,21 +487,17 @@ impl Workload for Streamcluster {
         let dims = LaunchDims::linear(grid_for(self.n as u32, 256), 256);
         // Several rounds, like the clustering iterations of the original.
         for _ in 0..4 {
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "sc_dist",
                 dims,
                 &[self.n as u64, d_p.addr, d_c.addr, d_w.addr, d_o.addr],
                 handlers,
             )?;
-            check_outcome(&res)?;
         }
         let out = rt.read_u32(d_o);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -542,10 +514,6 @@ impl Workload for Streamcluster {
                 acc.wrapping_mul(w[i])
             })
             .collect();
-        let summary = summarize(std::slice::from_ref(&out));
-        WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        }
+        WorkloadOutput::new(vec![out])
     }
 }

@@ -182,22 +182,18 @@ impl Workload for Hotspot {
         for _ in 0..self.steps {
             let cur = rt.read_u32(bufs[0]);
             rt.write_u32(bufs[1], &cur); // boundary carry-through
-            let res = rt.launch(
+            launch(
+                rt,
                 module,
                 "hotspot_step",
                 LaunchDims::plane((blocks, blocks), (16, 16)),
                 &[self.n as u64, bufs[0].addr, d_p.addr, bufs[1].addr],
                 handlers,
             )?;
-            check_outcome(&res)?;
             bufs.swap(0, 1);
         }
         let out = rt.read_u32(bufs[0]);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -206,11 +202,7 @@ impl Workload for Hotspot {
         for _ in 0..self.steps {
             t = self.host_step(&t, &p);
         }
-        let summary = summarize(std::slice::from_ref(&t));
-        WorkloadOutput {
-            buffers: vec![t],
-            summary,
-        }
+        WorkloadOutput::new(vec![t])
     }
 }
 
@@ -479,42 +471,38 @@ impl Workload for Srad {
             rt.write_u32(bufs[1], &cur);
             match self.variant {
                 SradVariant::V1 => {
-                    let res = rt.launch(
+                    launch(
+                        rt,
                         module,
                         "srad_v1",
                         dims,
                         &[self.n as u64, bufs[0].addr, bufs[1].addr],
                         handlers,
                     )?;
-                    check_outcome(&res)?;
                 }
                 SradVariant::V2 => {
-                    let res = rt.launch(
+                    launch(
+                        rt,
                         module,
                         "srad_v2_coeff",
                         dims,
                         &[self.n as u64, bufs[0].addr, d_cf.addr],
                         handlers,
                     )?;
-                    check_outcome(&res)?;
-                    let res = rt.launch(
+                    launch(
+                        rt,
                         module,
                         "srad_v2_update",
                         dims,
                         &[self.n as u64, bufs[0].addr, d_cf.addr, bufs[1].addr],
                         handlers,
                     )?;
-                    check_outcome(&res)?;
                 }
             }
             bufs.swap(0, 1);
         }
         let out = rt.read_u32(bufs[0]);
-        let summary = summarize(std::slice::from_ref(&out));
-        Ok(WorkloadOutput {
-            buffers: vec![out],
-            summary,
-        })
+        Ok(WorkloadOutput::new(vec![out]))
     }
 
     fn golden(&self) -> WorkloadOutput {
@@ -525,10 +513,6 @@ impl Workload for Srad {
                 SradVariant::V2 => self.host_step_v2(&img),
             };
         }
-        let summary = summarize(std::slice::from_ref(&img));
-        WorkloadOutput {
-            buffers: vec![img],
-            summary,
-        }
+        WorkloadOutput::new(vec![img])
     }
 }
