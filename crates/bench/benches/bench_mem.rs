@@ -7,10 +7,15 @@
 //! reference entry on the warp shapes the hierarchy actually issues
 //! (unit-stride, strided and scattered), all on persistent warm state:
 //! the cache and the address buffers are built once outside the timed
-//! loop.
+//! loop. The `hierarchy` cases time what every launch pays per CTA
+//! shard before any kernel work: building a default hierarchy (a
+//! zero-allocated tag store) and resetting a warm one (an epoch bump).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use sassi_mem::{coalesce_addresses, coalesce_batch, Cache, CacheConfig, LINE_BYTES};
+use sassi_mem::{
+    coalesce_addresses, coalesce_batch, Cache, CacheConfig, HierarchyConfig, MemoryHierarchy,
+    LINE_BYTES,
+};
 
 fn warm_cache() -> Cache {
     let mut c = Cache::new(CacheConfig {
@@ -93,5 +98,23 @@ fn bench_coalesce(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_cache, bench_coalesce);
+fn bench_hierarchy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hierarchy");
+    g.bench_function("new", |b| {
+        b.iter(|| black_box(MemoryHierarchy::new(black_box(HierarchyConfig::default()))))
+    });
+    // A hierarchy whose caches hold lines, as after a launch.
+    let mut h = MemoryHierarchy::new(HierarchyConfig::default());
+    let addrs: Vec<u64> = (0..32u64).map(|l| 0x1000 + 4096 * l).collect();
+    h.access_global(0, &addrs, 4, true);
+    g.bench_function("reset", |b| {
+        b.iter(|| {
+            h.reset();
+            black_box(&h);
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_coalesce, bench_hierarchy);
 criterion_main!(benches);

@@ -1,7 +1,10 @@
 //! Criterion benchmark: raw simulator throughput (warp instructions per
 //! second) on convergent, divergent and memory-bound kernels, with the
 //! pre-decoded µop interpreter benchmarked head-to-head against the
-//! reference (seed) interpreter on every kernel.
+//! reference (seed) interpreter on every kernel. Each of those
+//! iterations builds a fresh device; `sim/relaunch_floor` instead
+//! relaunches a one-store kernel on one warm device, timing the fixed
+//! cost every launch pays.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sassi_kir::{Compiler, KernelBuilder};
@@ -111,5 +114,33 @@ fn bench_sim(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_sim);
+fn store_kernel() -> Module {
+    let mut b = KernelBuilder::kernel("store");
+    let tid = b.global_tid_x();
+    let out = b.param_ptr(0);
+    let e = b.lea(out, tid, 2);
+    b.st_global_u32(e, tid);
+    Module::link(&[Compiler::new().compile(&b.finish()).unwrap()]).unwrap()
+}
+
+fn bench_relaunch(c: &mut Criterion) {
+    let module = store_kernel();
+    let dims = LaunchDims::linear(8, 32);
+    let mut dev = Device::with_defaults();
+    let out = dev.mem.alloc(dims.total_threads() * 4, 8).unwrap();
+    let mut relaunch = || {
+        let res = dev
+            .launch(&module, "store", dims, &[out], &mut NoHandlers, 0, 1 << 20)
+            .unwrap();
+        assert!(res.is_ok());
+        res.stats.warp_instrs
+    };
+    // Warm up: the first launch builds the SM slots.
+    relaunch();
+    let mut g = c.benchmark_group("sim");
+    g.bench_function("relaunch_floor", |b| b.iter(&mut relaunch));
+    g.finish();
+}
+
+criterion_group!(benches, bench_sim, bench_relaunch);
 criterion_main!(benches);

@@ -66,14 +66,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64, // larger = more recently used
-}
-
 /// A set-associative write-back cache with LRU replacement.
 ///
 /// Purely a tag store: data travels through [`crate::DeviceMemory`];
@@ -83,10 +75,25 @@ struct Line {
 /// answers repeat accesses to the most recently touched line without
 /// scanning the set — both bit-identical to the scanning path
 /// (same hits, misses, writebacks and LRU ordering).
+///
+/// The tag store is four parallel primitive arrays indexed by line
+/// slot (`set * ways + way`). Validity is an epoch: a line is valid
+/// only while its fill epoch equals the cache's, and epoch 0 never
+/// matches, so a freshly allocated all-zero store is an empty cache
+/// and [`Cache::reset`] empties it by bumping one counter.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// Per-slot tag.
+    tags: Vec<u64>,
+    /// Per-slot LRU stamp (larger = more recently used).
+    lru: Vec<u64>,
+    /// Per-slot fill epoch; the slot is valid iff it equals `epoch`.
+    epochs: Vec<u32>,
+    /// Per-slot dirty flag, meaningful only while the slot is valid.
+    dirty: Vec<bool>,
+    /// The current epoch, never 0.
+    epoch: u32,
     tick: u64,
     stats: CacheStats,
     /// `addr >> line_shift` = line key (tag and set packed together).
@@ -100,12 +107,13 @@ pub struct Cache {
     /// touches it, a miss fills it), so a matching key is a hit in
     /// the line at `mru_slot` with no tag scan.
     mru_key: u64,
-    /// Index into `lines` of the most recent access's line.
+    /// Slot index of the most recent access's line.
     mru_slot: u32,
 }
 
 impl Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache. The tag store is allocated zeroed,
+    /// which is already the empty state (epoch 0 is never valid).
     ///
     /// # Panics
     ///
@@ -118,9 +126,14 @@ impl Cache {
             "line size must be a power of two"
         );
         assert!(cfg.ways > 0, "ways must be nonzero");
+        let n = (cfg.sets * cfg.ways) as usize;
         Cache {
             cfg,
-            lines: vec![Line::default(); (cfg.sets * cfg.ways) as usize],
+            tags: vec![0; n],
+            lru: vec![0; n],
+            epochs: vec![0; n],
+            dirty: vec![false; n],
+            epoch: 1,
             tick: 0,
             stats: CacheStats::default(),
             line_shift: cfg.line_bytes.trailing_zeros(),
@@ -141,21 +154,23 @@ impl Cache {
         self.stats
     }
 
-    /// Resets contents and statistics.
+    /// Empties the cache and clears its statistics, in O(1): bumping
+    /// the epoch invalidates every line at once. Only when the epoch
+    /// counter wraps is the epoch store zeroed, after which the count
+    /// restarts at 1. Afterwards the cache behaves exactly like a
+    /// freshly built one (same hits, misses, writebacks and victims).
     pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.epochs.fill(0);
+                1
+            }
+        };
         self.tick = 0;
         self.stats = CacheStats::default();
         self.mru_key = u64::MAX;
         self.mru_slot = 0;
-    }
-
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) & self.set_mask) as usize
-    }
-
-    fn tag(&self, addr: u64) -> u64 {
-        (addr >> self.line_shift) >> self.set_shift
     }
 
     /// Performs one line access. Returns `true` on hit. On a miss the
@@ -169,60 +184,74 @@ impl Cache {
         // so this is a hit with no way scan. The bookkeeping matches
         // the scanning hit path exactly.
         if key == self.mru_key {
-            let line = &mut self.lines[self.mru_slot as usize];
-            debug_assert!(line.valid && line.tag == key >> self.set_shift);
-            line.lru = self.tick;
-            line.dirty |= write;
+            let slot = self.mru_slot as usize;
+            debug_assert!(
+                self.epochs[slot] == self.epoch && self.tags[slot] == key >> self.set_shift
+            );
+            self.lru[slot] = self.tick;
+            self.dirty[slot] |= write;
             self.stats.hits += 1;
             return true;
         }
-        let set = (key & self.set_mask) as usize;
+        let ways = self.cfg.ways as usize;
+        let base = (key & self.set_mask) as usize * ways;
         let tag = key >> self.set_shift;
-        let base = set * self.cfg.ways as usize;
-        let ways = &mut self.lines[base..base + self.cfg.ways as usize];
-
-        if let Some(way) = ways.iter().position(|l| l.valid && l.tag == tag) {
-            let line = &mut ways[way];
-            line.lru = self.tick;
-            line.dirty |= write;
-            self.stats.hits += 1;
-            self.mru_key = key;
-            self.mru_slot = (base + way) as u32;
-            return true;
+        let epoch = self.epoch;
+        // One pass over the set finds the hit, or else the victim: the
+        // first invalid way, else the least recently used one (LRU
+        // stamps are distinct, so there are no ties).
+        let mut way = 0;
+        let mut way_rank = u64::MAX;
+        let lines = self.tags[base..base + ways]
+            .iter()
+            .zip(&self.epochs[base..base + ways])
+            .zip(&self.lru[base..base + ways]);
+        for (w, ((&t, &e), &lru)) in lines.enumerate() {
+            // An invalid way ranks 0, a valid one by its LRU stamp + 1.
+            let rank = if e != epoch {
+                0
+            } else if t == tag {
+                let slot = base + w;
+                self.lru[slot] = self.tick;
+                self.dirty[slot] |= write;
+                self.stats.hits += 1;
+                self.mru_key = key;
+                self.mru_slot = slot as u32;
+                return true;
+            } else {
+                lru + 1
+            };
+            if rank < way_rank {
+                way = w;
+                way_rank = rank;
+            }
         }
 
         self.stats.misses += 1;
-        // Choose victim: an invalid way, else the least recently used.
-        let way = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("ways > 0");
-        let victim = &mut ways[way];
-        if victim.valid && victim.dirty {
+        let slot = base + way;
+        if self.epochs[slot] == epoch && self.dirty[slot] {
             self.stats.writebacks += 1;
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.tick,
-        };
+        self.tags[slot] = tag;
+        self.epochs[slot] = epoch;
+        self.dirty[slot] = write;
+        self.lru[slot] = self.tick;
         self.mru_key = key;
-        self.mru_slot = (base + way) as u32;
+        self.mru_slot = slot as u32;
         false
     }
 
     /// Probes without modifying state. Returns whether `addr` currently
     /// hits.
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let base = set * self.cfg.ways as usize;
-        self.lines[base..base + self.cfg.ways as usize]
+        let ways = self.cfg.ways as usize;
+        let key = addr >> self.line_shift;
+        let base = (key & self.set_mask) as usize * ways;
+        let tag = key >> self.set_shift;
+        self.tags[base..base + ways]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .zip(&self.epochs[base..base + ways])
+            .any(|(&t, &e)| e == self.epoch && t == tag)
     }
 }
 
@@ -278,6 +307,44 @@ mod tests {
         c.reset();
         assert!(!c.probe(0x40));
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn reset_forgets_dirty_lines() {
+        let mut c = tiny();
+        c.access(0x000, true);
+        c.reset();
+        // Refill the set past capacity: the stale dirty line is gone,
+        // so no eviction writes it back.
+        c.access(0x000, false);
+        c.access(0x080, false);
+        c.access(0x100, false);
+        assert_eq!(c.stats().writebacks, 0);
+    }
+
+    #[test]
+    fn epoch_wraparound_invalidates_old_lines() {
+        let mut c = tiny();
+        c.access(0x020, true); // set 1, filled in epoch 1
+        c.epoch = u32::MAX - 1; // as if 2^32 - 3 resets had passed
+        c.access(0x000, true); // set 0
+        c.reset(); // epoch u32::MAX
+        assert!(!c.probe(0x020));
+        assert!(!c.probe(0x000));
+        c.access(0x080, true); // set 0
+        c.reset(); // wraps to epoch 1, which must not revive 0x020
+        assert_eq!(c.epoch, 1);
+        for addr in [0x020, 0x000, 0x080] {
+            assert!(!c.probe(addr), "{addr:#x} was filled before the wrap");
+        }
+        // Refilling set 0 of the 2-way cache past capacity evicts only
+        // lines filled (clean) since the wrap.
+        assert!(!c.access(0x020, false));
+        assert!(!c.access(0x000, false));
+        assert!(!c.access(0x080, false));
+        assert!(!c.access(0x100, false));
+        assert_eq!(c.stats().misses, 4);
+        assert_eq!(c.stats().writebacks, 0);
     }
 
     #[test]

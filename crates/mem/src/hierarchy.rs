@@ -101,6 +101,11 @@ impl MemoryHierarchy {
         }
     }
 
+    /// The configuration this hierarchy was built with.
+    pub fn config(&self) -> HierarchyConfig {
+        self.cfg
+    }
+
     /// Services a warp's global-memory instruction: coalesces the lane
     /// addresses and walks each unique line through L1 → L2 → DRAM.
     ///
@@ -156,7 +161,9 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Resets caches, DRAM queue and counters.
+    /// Resets caches, DRAM queue and counters. Both caches reset in
+    /// O(1) (see [`Cache::reset`]), so this is cheap enough to run at
+    /// the start of every launch.
     pub fn reset(&mut self) {
         self.l1.reset();
         self.l2.reset();

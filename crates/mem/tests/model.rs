@@ -98,4 +98,27 @@ proptest! {
         }
         prop_assert!(c.stats().writebacks <= writes, "cannot write back more than was written");
     }
+
+    #[test]
+    fn reset_matches_fresh_cache(
+        ops in prop::collection::vec((0u64..4096, any::<bool>(), 0u64..4096, 0u8..24), 1..400),
+        sets_pow in 0u32..4,
+        ways in 1u32..5,
+    ) {
+        // Each op is an access, a probe of another address, and (one
+        // time in 24) a reset first. After every reset the cache must
+        // behave exactly like a freshly built one fed the same suffix.
+        let cfg = CacheConfig { sets: 1 << sets_pow, ways, line_bytes: 32 };
+        let mut dut = Cache::new(cfg);
+        let mut fresh = Cache::new(cfg);
+        for (i, &(a, w, probe_at, r)) in ops.iter().enumerate() {
+            if r == 0 {
+                dut.reset();
+                fresh = Cache::new(cfg);
+            }
+            prop_assert_eq!(dut.access(a, w), fresh.access(a, w), "access {} to {:#x}", i, a);
+            prop_assert_eq!(dut.stats(), fresh.stats(), "stats after access {}", i);
+            prop_assert_eq!(dut.probe(probe_at), fresh.probe(probe_at), "probe {:#x}", probe_at);
+        }
+    }
 }

@@ -139,6 +139,7 @@ struct ShardEnv<'a> {
     mode: ExecMode,
     kernel: &'a LinkedFunction,
     dims: LaunchDims,
+    num_shards: u32,
     cbank: Vec<u8>,
     launch_index: u64,
     max_cycles: u64,
@@ -224,16 +225,17 @@ impl Device {
             )));
         }
 
-        let total = dims.total_blocks();
-        let num_shards = self.cfg.num_sms.min(total).max(1) as usize;
+        let num_shards = self.cfg.num_sms.min(dims.total_blocks()).max(1) as usize;
+        // `cfg` is public, so a slot built under an older hierarchy
+        // config is rebuilt rather than recycled.
+        for slot in self.slots.iter_mut().take(num_shards) {
+            if slot.hier.config() != self.cfg.hierarchy {
+                *slot = SmSlot::new(self.cfg.hierarchy);
+            }
+        }
         while self.slots.len() < num_shards {
             self.slots.push(SmSlot::new(self.cfg.hierarchy));
         }
-        // CTA i runs on shard i % num_shards: a pure function of launch
-        // geometry, so shard contents are identical for any job count.
-        let queues: Vec<Vec<u32>> = (0..num_shards as u32)
-            .map(|s| (s..total).step_by(num_shards).collect())
-            .collect();
         let decoded = module.decoded();
         // Hand the runtime the module's site table before any trap
         // fires (forked shard runtimes are bound below, after forking).
@@ -245,6 +247,7 @@ impl Device {
             mode: self.exec_mode,
             kernel: kf,
             dims,
+            num_shards: num_shards as u32,
             cbank: build_cbank0(&self.cfg, kf, dims, params),
             launch_index,
             max_cycles,
@@ -299,7 +302,6 @@ impl Device {
                 {
                     groups[s % jobs].push((s, slot, mem, rt));
                 }
-                let queues = &queues;
                 let mut results: Vec<Option<ShardOut>> = (0..num_shards).map(|_| None).collect();
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = groups
@@ -309,14 +311,8 @@ impl Device {
                                 group
                                     .into_iter()
                                     .map(|(s, slot, mut mem, mut rt)| {
-                                        let out = run_shard(
-                                            env,
-                                            slot,
-                                            &mut mem,
-                                            rt.as_mut(),
-                                            s as u32,
-                                            &queues[s],
-                                        );
+                                        let out =
+                                            run_shard(env, slot, &mut mem, rt.as_mut(), s as u32);
                                         (s, out)
                                     })
                                     .collect::<Vec<_>>()
@@ -342,7 +338,6 @@ impl Device {
                         &mut self.mem,
                         &mut *runtime,
                         s as u32,
-                        &queues[s],
                     )
                 })
                 .collect(),
@@ -381,7 +376,6 @@ fn run_shard(
     mem: &mut DeviceMemory,
     runtime: &mut dyn HandlerRuntime,
     sm_id: u32,
-    queue: &[u32],
 ) -> ShardOut {
     slot.hier.reset();
     slot.free_warps.clear();
@@ -401,8 +395,8 @@ fn run_shard(
         runtime,
         launch_index: env.launch_index,
         sm_id,
-        queue,
-        next_in_queue: 0,
+        num_shards: env.num_shards,
+        next_cta: sm_id,
         ctas: &mut slot.ctas,
         warps: &mut slot.warps,
         free_warps: &mut slot.free_warps,
@@ -459,7 +453,8 @@ struct Cta {
 }
 
 /// The execution loop of one SM shard: borrows the shard's persistent
-/// state from its [`SmSlot`] and runs its CTA queue to completion.
+/// state from its [`SmSlot`] and runs its share of the grid's CTAs to
+/// completion.
 struct Exec<'a> {
     cfg: &'a GpuConfig,
     module: &'a Module,
@@ -474,9 +469,13 @@ struct Exec<'a> {
     launch_index: u64,
     /// Global shard id — the SM id handlers and `%smid` observe.
     sm_id: u32,
-    /// Linear CTA ids assigned to this shard, issued in order.
-    queue: &'a [u32],
-    next_in_queue: usize,
+    /// Shards in this launch. CTA `i` runs on shard `i % num_shards`,
+    /// a pure function of launch geometry, so shard `sm_id` issues
+    /// linear CTA ids `sm_id, sm_id + num_shards, …` in order.
+    num_shards: u32,
+    /// The next linear CTA id this shard issues; past the grid once
+    /// every one has been.
+    next_cta: u32,
     ctas: &'a mut Vec<Cta>,
     warps: &'a mut Vec<Warp>,
     free_warps: &'a mut Vec<usize>,
@@ -513,10 +512,11 @@ impl Exec<'_> {
     }
 
     fn issue_block(&mut self) {
-        let Some(&linear) = self.queue.get(self.next_in_queue) else {
+        let linear = self.next_cta;
+        if linear >= self.dims.total_blocks() {
             return;
-        };
-        self.next_in_queue += 1;
+        }
+        self.next_cta = linear.saturating_add(self.num_shards);
         self.stats.blocks += 1;
         let wpb = self.dims.warps_per_block();
         let tpb = self.dims.threads_per_block();
@@ -611,7 +611,7 @@ impl Exec<'_> {
                     self.cycle = until.max(self.cycle + 1);
                 }
                 Pick::Empty => {
-                    if self.next_in_queue >= self.queue.len() {
+                    if self.next_cta >= self.dims.total_blocks() {
                         return KernelOutcome::Completed;
                     }
                     self.issue_block();
@@ -1557,12 +1557,9 @@ impl Exec<'_> {
                     let w = &mut self.warps[wi];
                     store_source_bytes(w, lane, v, width, bytes, &mut buf);
                     let a = w.reg(lane, addr.base).wrapping_add(addr.offset as u32) as u64;
-                    let off = a as usize;
-                    let slab = w.lane_local_mut(lane);
-                    if off + bytes as usize > slab.len() {
+                    if !w.write_local(lane, a, &buf[..bytes as usize]) {
                         return Err(FaultKind::StackViolation { offset: a });
                     }
-                    slab[off..off + bytes as usize].copy_from_slice(&buf[..bytes as usize]);
                 }
                 let lat = self.mem_latency(&[], bytes, true, mask != 0, false);
                 finish(&mut self.warps[wi], self.cycle, lat);
@@ -1604,13 +1601,9 @@ impl Exec<'_> {
             match space {
                 AddrSpace::Local => {
                     has_local = true;
-                    let w = &mut self.warps[wi];
-                    let off = a as usize;
-                    let slab = w.lane_local_mut(lane);
-                    if off + bytes as usize > slab.len() {
+                    if !self.warps[wi].write_local(lane, a, &buf[..bytes as usize]) {
                         return Err(FaultKind::StackViolation { offset: a });
                     }
-                    slab[off..off + bytes as usize].copy_from_slice(&buf[..bytes as usize]);
                 }
                 AddrSpace::Shared => {
                     has_shared = true;

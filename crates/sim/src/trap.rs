@@ -212,13 +212,11 @@ impl TrapCtx<'_> {
     pub fn write_generic_u32(&mut self, lane: usize, addr: u64, v: u32) -> Result<(), MemError> {
         match resolve_generic(addr) {
             Some((AddrSpace::Local, off)) => {
-                let slab = self.warp.lane_local_mut(lane);
-                let off = off as usize;
-                if off + 4 > slab.len() {
-                    return Err(MemError::OutOfBounds { addr });
+                if self.warp.write_local(lane, off, &v.to_le_bytes()) {
+                    Ok(())
+                } else {
+                    Err(MemError::OutOfBounds { addr })
                 }
-                slab[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                Ok(())
             }
             Some((AddrSpace::Shared, off)) => {
                 let off = off as usize;

@@ -78,10 +78,15 @@ pub struct Warp {
     pub preds: [u8; 32],
     /// Per-lane carry flags.
     pub cc: [bool; 32],
-    /// Per-lane local-memory slabs, concatenated.
-    pub local: Vec<u8>,
+    /// Per-lane local-memory slabs, concatenated. Written only
+    /// through [`Warp::write_local`], which keeps every byte outside
+    /// `[local_lo, local_bytes)` of every slab zero.
+    local: Vec<u8>,
     regs_per_thread: u32,
     local_bytes: u32,
+    /// Lowest slab offset written since the last reset (`local_bytes`
+    /// when nothing was), so `reset` zeroes only what was written.
+    local_lo: u32,
 }
 
 impl Warp {
@@ -111,6 +116,7 @@ impl Warp {
             local: vec![0; 32 * local_bytes as usize],
             regs_per_thread,
             local_bytes,
+            local_lo: local_bytes,
         };
         // ABI: R1 is the stack pointer, initialized to the top of the
         // thread's local slab (stack grows down).
@@ -121,8 +127,14 @@ impl Warp {
     }
 
     /// Reinitializes a retired warp in place for a new block, reusing
-    /// the register-file and local-slab allocations (the capacities are
-    /// kept; contents are zeroed as `new` would).
+    /// the register-file and local-slab allocations. The result equals
+    /// what `new` builds: registers are zeroed, and of local memory
+    /// only `[lo, local_bytes)` of each slab is, where `lo` is the
+    /// lowest offset written since the last reset. Kernels that never
+    /// touch local memory zero none of it, and trampoline spills,
+    /// which push down from the slab top, zero only the stack they
+    /// used. A change of `local_bytes` moves every slab boundary, so
+    /// it zeroes the whole store.
     pub fn reset(
         &mut self,
         cta: usize,
@@ -148,10 +160,16 @@ impl Warp {
         }
         if self.local_bytes != local_bytes {
             self.local_bytes = local_bytes;
+            self.local.clear();
             self.local.resize(32 * local_bytes as usize, 0);
+        } else if self.local_lo < local_bytes {
+            let (lo, b) = (self.local_lo as usize, local_bytes as usize);
+            for slab in self.local.chunks_exact_mut(b) {
+                slab[lo..].fill(0);
+            }
         }
+        self.local_lo = local_bytes;
         self.regs.fill(0);
-        self.local.fill(0);
         self.preds = [0; 32];
         self.cc = [false; 32];
         for lane in 0..32 {
@@ -232,10 +250,17 @@ impl Warp {
         &self.local[lane * b..(lane + 1) * b]
     }
 
-    /// The local slab of one lane, mutably.
-    pub fn lane_local_mut(&mut self, lane: usize) -> &mut [u8] {
-        let b = self.local_bytes as usize;
-        &mut self.local[lane * b..(lane + 1) * b]
+    /// Writes `bytes` into lane `lane`'s slab at offset `off`. Returns
+    /// `false`, writing nothing, if the write does not fit the slab.
+    pub fn write_local(&mut self, lane: usize, off: u64, bytes: &[u8]) -> bool {
+        let b = self.local_bytes as u64;
+        if off.saturating_add(bytes.len() as u64) > b {
+            return false;
+        }
+        self.local_lo = self.local_lo.min(off as u32);
+        let start = lane * b as usize + off as usize;
+        self.local[start..start + bytes.len()].copy_from_slice(bytes);
+        true
     }
 
     /// Iterates the active lane indices (ascending, allocation-free).
@@ -459,7 +484,10 @@ mod tests {
         used.set_reg(3, Gpr::new(7), 0xdead);
         used.set_pred(3, PredReg::new(2), true);
         used.cc[5] = true;
-        used.lane_local_mut(1)[10] = 0x55;
+        // Local writes at the slab's bottom, middle and top.
+        assert!(used.write_local(1, 0, &[0x55; 4]));
+        assert!(used.write_local(7, 128, &[0x66; 8]));
+        assert!(used.write_local(31, 252, &[0x77; 4]));
         used.push_ssy(40);
         used.call_stack.push(9);
         used.exit_lanes(0xffff_ffff);
@@ -480,6 +508,34 @@ mod tests {
         assert_eq!(used.preds, fresh.preds);
         assert_eq!(used.cc, fresh.cc);
         assert_eq!(used.local, fresh.local);
+        assert_eq!(used.local_lo, fresh.local_lo);
+
+        // Only the top of the slab written: reset zeroes that much.
+        assert!(used.write_local(4, 240, &[0x88; 16]));
+        used.reset(2, 1, 17, 0x0000_00ff, 32, 256);
+        assert_eq!(used.local, fresh.local);
+
+        // A reset that changes `local_bytes` moves the slab boundaries
+        // and still leaves every slab zeroed.
+        assert!(used.write_local(2, 100, &[0x99; 4]));
+        used.reset(2, 1, 17, 0x0000_00ff, 32, 128);
+        let fresh = Warp::new(2, 1, 17, 0x0000_00ff, 32, 128);
+        assert_eq!(used.local, fresh.local);
+        assert_eq!(used.local_lo, fresh.local_lo);
+        assert_eq!(used.regs, fresh.regs);
+    }
+
+    #[test]
+    fn write_local_rejects_writes_past_the_slab() {
+        let mut w = w();
+        assert!(!w.write_local(0, 253, &[1; 4]));
+        assert!(!w.write_local(0, 256, &[1; 1]));
+        assert!(!w.write_local(0, u64::MAX, &[1; 4]));
+        assert!(
+            w.local.iter().all(|&b| b == 0),
+            "a rejected write stores nothing"
+        );
+        assert!(w.write_local(0, 252, &[1; 4]));
     }
 
     #[test]
@@ -496,8 +552,8 @@ mod tests {
     #[test]
     fn lane_local_slabs_disjoint() {
         let mut w = w();
-        w.lane_local_mut(0)[0] = 0xaa;
-        w.lane_local_mut(1)[0] = 0xbb;
+        assert!(w.write_local(0, 0, &[0xaa]));
+        assert!(w.write_local(1, 0, &[0xbb]));
         assert_eq!(w.lane_local(0)[0], 0xaa);
         assert_eq!(w.lane_local(1)[0], 0xbb);
     }

@@ -1,8 +1,8 @@
 //! Steady-state allocation accounting for the instrumented path.
 //!
 //! The launch machinery performs a small, fixed number of heap
-//! allocations per launch (shard queues, the constant bank, journal
-//! growth) — identically for native and instrumented modules of the
+//! allocations per launch (the constant bank, the shard results and
+//! warp lists, journal growth) — identically for native and instrumented modules of the
 //! same geometry. Traps must contribute *zero* on top: dispatch indexes
 //! the instrumentor's handler list by the id the `JCAL` names, lane
 //! iteration is a mask walk, and the study handlers reuse scratch
