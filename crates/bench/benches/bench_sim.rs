@@ -5,10 +5,22 @@
 //! iterations builds a fresh device; `sim/relaunch_floor` instead
 //! relaunches a one-store kernel on one warm device, timing the fixed
 //! cost every launch pays.
+//!
+//! The `interp/*` group times the interpreter alone: hand-written SASS
+//! loops relaunched on one warm device, so launch set-up is a small
+//! share. `alu_full_mask` runs ALU µops with every lane active,
+//! `alu_half_mask` the same µops guarded to half the warp, and
+//! `spill_fill` saves and restores 16 registers at one stack offset,
+//! as an instrumentation trampoline does.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sassi_isa::{
+    CmpOp, FunctionMeta, Gpr, Guard, Instr, Label, LogicOp, MemAddr, MemWidth, Op, PredReg,
+    SpecialReg, Src,
+};
 use sassi_kir::{Compiler, KernelBuilder};
-use sassi_sim::{Device, ExecMode, LaunchDims, Module, NoHandlers};
+use sassi_sim::{Device, ExecMode, LaunchDims, LinkedFunction, Module, NoHandlers};
+use std::collections::BTreeMap;
 
 fn run_once(
     module: &Module,
@@ -142,5 +154,175 @@ fn bench_relaunch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sim, bench_relaunch);
+/// Iterations of each `interp/*` loop body.
+const INTERP_ITERS: u32 = 64;
+
+/// A raw SASS kernel `k`: seed R2..R17 per lane, set `P0` on lanes
+/// 0..16, run `body` `INTERP_ITERS` times in a uniform loop, exit.
+fn interp_kernel(body: Vec<Instr>) -> Module {
+    let r = Gpr::new;
+    let mut code = vec![
+        Instr::new(Op::S2R {
+            d: r(0),
+            sr: SpecialReg::LaneId,
+        }),
+        Instr::new(Op::ISetP {
+            p: PredReg::new(0),
+            cmp: CmpOp::Lt,
+            a: r(0),
+            b: Src::Imm(16),
+            signed: false,
+            combine: None,
+        }),
+    ];
+    for k in 2..18 {
+        code.push(Instr::new(Op::IMad {
+            d: r(k),
+            a: r(0),
+            b: Src::Imm(2 * k as u32 + 1),
+            c: r(0),
+        }));
+    }
+    code.push(Instr::new(Op::Mov32I {
+        d: r(18),
+        imm: INTERP_ITERS,
+    }));
+    let top = code.len() as u32;
+    code.extend(body);
+    code.push(Instr::new(Op::IAdd {
+        d: r(18),
+        a: r(18),
+        b: Src::Imm(u32::MAX),
+        x: false,
+        cc: false,
+    }));
+    code.push(Instr::new(Op::ISetP {
+        p: PredReg::new(1),
+        cmp: CmpOp::Ne,
+        a: r(18),
+        b: Src::Imm(0),
+        signed: false,
+        combine: None,
+    }));
+    code.push(Instr::guarded(
+        Guard::on(PredReg::new(1)),
+        Op::Bra {
+            target: Label::Pc(top),
+            uniform: true,
+        },
+    ));
+    code.push(Instr::new(Op::Exit));
+    let f = LinkedFunction {
+        name: "k".to_string(),
+        entry: 0,
+        end: code.len() as u32,
+        meta: FunctionMeta {
+            reg_high_water: 19,
+            ..FunctionMeta::default()
+        },
+    };
+    Module::from_parts(code, vec![f], BTreeMap::new())
+}
+
+/// Sixteen dependent integer ALU µops over R2..R9 under `guard`.
+fn alu_body(guard: Guard) -> Vec<Instr> {
+    let r = Gpr::new;
+    let mut body = Vec::new();
+    for k in 0..4u8 {
+        let (a, b, c, d) = (r(2 + k), r(3 + k), r(4 + k), r(5 + k));
+        body.push(Op::IMad {
+            d: a,
+            a,
+            b: Src::Reg(b),
+            c,
+        });
+        body.push(Op::Lop {
+            d: b,
+            op: LogicOp::Xor,
+            a: b,
+            b: Src::Reg(a),
+            inv_b: false,
+        });
+        body.push(Op::IAdd {
+            d: c,
+            a: c,
+            b: Src::Imm(0x9e37),
+            x: false,
+            cc: false,
+        });
+        body.push(Op::Shr {
+            d,
+            a: d,
+            b: Src::Imm(1),
+            signed: false,
+        });
+    }
+    body.into_iter()
+        .map(|op| Instr::guarded(guard, op))
+        .collect()
+}
+
+/// A trampoline's save and restore: push 64 bytes of stack, store
+/// R2..R17 at one offset per register (the same for every lane), load
+/// them back, pop.
+fn spill_fill_body() -> Vec<Instr> {
+    let sp_add = |imm: i32| {
+        Instr::new(Op::IAdd {
+            d: Gpr::SP,
+            a: Gpr::SP,
+            b: Src::Imm(imm as u32),
+            x: false,
+            cc: false,
+        })
+    };
+    let mut body = vec![sp_add(-64)];
+    for k in 0..16 {
+        body.push(Instr::new(Op::St {
+            v: Gpr::new(2 + k),
+            width: MemWidth::B32,
+            addr: MemAddr::local(Gpr::SP, 4 * k as i32),
+            spill: true,
+        }));
+    }
+    for k in 0..16 {
+        body.push(Instr::new(Op::Ld {
+            d: Gpr::new(2 + k),
+            width: MemWidth::B32,
+            addr: MemAddr::local(Gpr::SP, 4 * k as i32),
+            spill: true,
+        }));
+    }
+    body.push(sp_add(64));
+    body
+}
+
+fn bench_interp(c: &mut Criterion) {
+    let cases = [
+        ("alu_full_mask", interp_kernel(alu_body(Guard::ALWAYS))),
+        (
+            "alu_half_mask",
+            interp_kernel(alu_body(Guard::on(PredReg::new(0)))),
+        ),
+        ("spill_fill", interp_kernel(spill_fill_body())),
+    ];
+    let dims = LaunchDims::linear(1, 256);
+    for (label, module) in &cases {
+        let mut dev = Device::with_defaults();
+        let mut relaunch = || {
+            let res = dev
+                .launch(module, "k", dims, &[], &mut NoHandlers, 0, 1 << 30)
+                .unwrap();
+            assert!(res.is_ok(), "{label}: {:?}", res.outcome);
+            res.stats.warp_instrs
+        };
+        // The first launch builds the SM slots.
+        let instrs = relaunch();
+        let mut g = c.benchmark_group("interp");
+        g.throughput(Throughput::Elements(instrs));
+        g.bench_function(label, |b| b.iter(&mut relaunch));
+        g.finish();
+    }
+}
+
+criterion_group!(benches, bench_sim, bench_relaunch, bench_interp);
 criterion_main!(benches);

@@ -93,6 +93,39 @@ pub enum JournalOp {
     },
 }
 
+/// A writable range of the heap inside one live allocation, from
+/// [`DeviceMemory::window_mut`].
+pub struct WindowMut<'a> {
+    base: u64,
+    bytes: &'a mut [u8],
+    journal: Option<&'a mut Vec<JournalOp>>,
+}
+
+impl WindowMut<'_> {
+    /// Writes `data` at `addr`, journaling it on a forked view in
+    /// 16-byte chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[addr, addr + data.len())` leaves the window.
+    #[inline]
+    pub fn write(&mut self, addr: u64, data: &[u8]) {
+        let off = (addr - self.base) as usize;
+        self.bytes[off..off + data.len()].copy_from_slice(data);
+        if let Some(journal) = &mut self.journal {
+            for (i, chunk) in data.chunks(16).enumerate() {
+                let mut buf = [0u8; 16];
+                buf[..chunk.len()].copy_from_slice(chunk);
+                journal.push(JournalOp::Store {
+                    addr: addr + 16 * i as u64,
+                    len: chunk.len() as u8,
+                    data: buf,
+                });
+            }
+        }
+    }
+}
+
 /// Global device memory: a heap of bytes starting at
 /// [`GLOBAL_HEAP_BASE`] in the generic address space.
 ///
@@ -189,17 +222,39 @@ impl DeviceMemory {
     /// Whether `[addr, addr+len)` lies inside a live allocation. A
     /// range that wraps past the top of the address space lies in none.
     pub fn check(&self, addr: u64, len: u32) -> bool {
-        let Some(end) = addr.checked_add(len as u64) else {
+        self.contains(addr, len as u64)
+    }
+
+    fn contains(&self, addr: u64, len: u64) -> bool {
+        let Some(end) = addr.checked_add(len) else {
             return false;
         };
         self.allocations.iter().any(|&(s, e)| addr >= s && end <= e)
     }
 
-    fn offset(&self, addr: u64, len: u32) -> Result<usize, MemError> {
-        if !self.check(addr, len) {
-            return Err(MemError::OutOfBounds { addr });
+    /// The bytes of `[addr, addr+len)`, if the range lies inside one
+    /// live allocation: one bounds check for a whole warp's accesses.
+    pub fn window(&self, addr: u64, len: u64) -> Option<&[u8]> {
+        if !self.contains(addr, len) {
+            return None;
         }
-        Ok((addr - GLOBAL_HEAP_BASE) as usize)
+        let off = (addr - GLOBAL_HEAP_BASE) as usize;
+        Some(&self.bytes[off..off + len as usize])
+    }
+
+    /// [`DeviceMemory::window`] for writing. Writes through the window
+    /// are journaled on forked views exactly as
+    /// [`DeviceMemory::write_bytes`] journals them.
+    pub fn window_mut(&mut self, addr: u64, len: u64) -> Option<WindowMut<'_>> {
+        if !self.contains(addr, len) {
+            return None;
+        }
+        let off = (addr - GLOBAL_HEAP_BASE) as usize;
+        Some(WindowMut {
+            base: addr,
+            bytes: &mut self.bytes[off..off + len as usize],
+            journal: self.journal.as_mut(),
+        })
     }
 
     /// Reads `len` bytes at `addr`.
@@ -208,8 +263,8 @@ impl DeviceMemory {
     ///
     /// [`MemError::OutOfBounds`] when the range leaves every allocation.
     pub fn read_bytes(&self, addr: u64, len: u32) -> Result<&[u8], MemError> {
-        let off = self.offset(addr, len)?;
-        Ok(&self.bytes[off..off + len as usize])
+        self.window(addr, len as u64)
+            .ok_or(MemError::OutOfBounds { addr })
     }
 
     /// Writes bytes at `addr`.
@@ -218,19 +273,9 @@ impl DeviceMemory {
     ///
     /// [`MemError::OutOfBounds`] when the range leaves every allocation.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        let off = self.offset(addr, data.len() as u32)?;
-        self.bytes[off..off + data.len()].copy_from_slice(data);
-        if let Some(journal) = &mut self.journal {
-            for (i, chunk) in data.chunks(16).enumerate() {
-                let mut buf = [0u8; 16];
-                buf[..chunk.len()].copy_from_slice(chunk);
-                journal.push(JournalOp::Store {
-                    addr: addr + 16 * i as u64,
-                    len: chunk.len() as u8,
-                    data: buf,
-                });
-            }
-        }
+        self.window_mut(addr, data.len() as u64)
+            .ok_or(MemError::OutOfBounds { addr })?
+            .write(addr, data);
         Ok(())
     }
 
@@ -445,6 +490,26 @@ mod tests {
         assert_eq!(m.read_u32(a + 12).unwrap(), 22);
         // Master is not a journaling view.
         assert!(m.take_journal().is_empty());
+    }
+
+    #[test]
+    fn windows_cover_one_allocation_and_journal_like_write_bytes() {
+        let mut m = DeviceMemory::new(1 << 12);
+        let a = m.alloc(32, 16).unwrap();
+        let b = m.alloc(32, 16).unwrap();
+        assert!(m.window(a, 32).is_some());
+        assert!(m.window(a + 16, 32).is_none(), "straddles two allocations");
+        assert!(m.window(b, 33).is_none());
+        assert!(m.window(u64::MAX - 3, 4).is_none());
+        // A window's writes land and journal as `write_bytes` would.
+        let (mut f1, mut f2) = (m.fork(), m.fork());
+        let mut w = f1.window_mut(a + 4, 24).unwrap();
+        w.write(a + 4, &[1; 8]);
+        w.write(a + 20, &[2; 8]);
+        f2.write_bytes(a + 4, &[1; 8]).unwrap();
+        f2.write_bytes(a + 20, &[2; 8]).unwrap();
+        assert_eq!(f1.read_bytes(a, 32), f2.read_bytes(a, 32));
+        assert_eq!(f1.take_journal(), f2.take_journal());
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{
     coalesce_addresses, coalesce_batch, CoalesceResult, LineBatch, LINE_BYTES, MAX_WARP_LINES,
 };
-pub use device::{apply_atom, DeviceMemory, JournalOp, MemError};
+pub use device::{apply_atom, DeviceMemory, JournalOp, MemError, WindowMut};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{AccessOutcome, HierarchyConfig, HierarchyStats, MemoryHierarchy};

@@ -179,12 +179,12 @@ impl Exec<'_> {
 
             // ---- memory -----------------------------------------------------
             Op::Ld { d, width, addr, .. } | Op::Tld { d, width, addr } => {
-                self.mem_load(wi, mask, *d, *width, addr)?;
+                self.mem_load_lanes(wi, mask, *d, *width, addr)?;
                 self.warps[wi].pc += 1;
                 return Ok(());
             }
             Op::St { v, width, addr, .. } => {
-                self.mem_store(wi, mask, *v, *width, addr)?;
+                self.mem_store_lanes(wi, mask, *v, *width, addr)?;
                 self.warps[wi].pc += 1;
                 return Ok(());
             }

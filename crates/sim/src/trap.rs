@@ -172,12 +172,11 @@ impl TrapCtx<'_> {
     pub fn read_generic_u32(&self, lane: usize, addr: u64) -> Result<u32, MemError> {
         match resolve_generic(addr) {
             Some((AddrSpace::Local, off)) => {
-                let slab = self.warp.lane_local(lane);
-                let off = off as usize;
-                if off + 4 > slab.len() {
+                let mut buf = [0u8; 4];
+                if !self.warp.read_local(lane, off, &mut buf) {
                     return Err(MemError::OutOfBounds { addr });
                 }
-                Ok(u32::from_le_bytes(slab[off..off + 4].try_into().unwrap()))
+                Ok(u32::from_le_bytes(buf))
             }
             Some((AddrSpace::Shared, off)) => {
                 let off = off as usize;

@@ -396,6 +396,164 @@ fn unreached_invalid_site_is_harmless() {
     assert!(d.is_ok());
 }
 
+#[test]
+fn rz_stores_zeros_and_loads_into_rz_are_discarded() {
+    // R4..R7 hold non-zero words. `RZ` as a store source, of any width,
+    // stores zeros in every word; a 64-bit load into `RZ` is dropped.
+    // Both go to local memory and to global memory at R2:R3.
+    let mov = |d: u8, imm: u32| {
+        Instr::new(Op::Mov32I {
+            d: Gpr::new(d),
+            imm,
+        })
+    };
+    let st = |v: Gpr, width: MemWidth, addr: MemAddr| {
+        Instr::new(Op::St {
+            v,
+            width,
+            addr,
+            spill: false,
+        })
+    };
+    let ld = |d: Gpr, width: MemWidth, addr: MemAddr| {
+        Instr::new(Op::Ld {
+            d,
+            width,
+            addr,
+            spill: false,
+        })
+    };
+    let local = |off| MemAddr::local(Gpr::SP, off);
+    let global = |off| MemAddr::global(Gpr::new(2), off);
+    let out = sassi_isa::GLOBAL_HEAP_BASE;
+    let m = raw_module(vec![
+        mov(2, out as u32),
+        mov(3, (out >> 32) as u32),
+        mov(4, 0xdead_beef),
+        mov(5, 0x0123_4567),
+        mov(6, 0x89ab_cdef),
+        mov(7, 0x7654_3210),
+        // Local: fill 16 bytes, then clear them with RZ stores.
+        st(Gpr::new(4), MemWidth::B128, local(-16)),
+        st(Gpr::RZ, MemWidth::B32, local(-16)),
+        st(Gpr::RZ, MemWidth::B64, local(-12)),
+        st(Gpr::RZ, MemWidth::U8, local(-4)),
+        st(Gpr::RZ, MemWidth::U16, local(-3)),
+        st(Gpr::RZ, MemWidth::U8, local(-1)),
+        ld(Gpr::RZ, MemWidth::B64, local(-16)),
+        ld(Gpr::new(8), MemWidth::B128, local(-16)),
+        st(Gpr::new(8), MemWidth::B128, global(0)),
+        // Global: the same, for a 128-bit and a 64-bit RZ store.
+        st(Gpr::new(4), MemWidth::B128, global(16)),
+        st(Gpr::new(4), MemWidth::B128, global(32)),
+        st(Gpr::RZ, MemWidth::B64, global(16)),
+        st(Gpr::RZ, MemWidth::B128, global(32)),
+        ld(Gpr::RZ, MemWidth::B64, global(16)),
+        Instr::new(Op::Exit),
+    ]);
+    let run = |mode| {
+        let mut dev = Device::with_defaults();
+        dev.exec_mode = mode;
+        assert_eq!(dev.mem.alloc(48, 16).unwrap(), out);
+        let res = dev
+            .launch(
+                &m,
+                "k",
+                LaunchDims::linear(1, 32),
+                &[],
+                &mut NoHandlers,
+                0,
+                1 << 20,
+            )
+            .unwrap();
+        (res, dev.mem.read_bytes(out, 48).unwrap().to_vec())
+    };
+    let (res_d, mem_d) = run(ExecMode::Decoded);
+    let (res_r, mem_r) = run(ExecMode::Reference);
+    assert!(res_d.is_ok(), "{:?}", res_d.outcome);
+    assert_eq!(res_d, res_r, "launch result diverges across exec modes");
+    assert_eq!(mem_d, mem_r, "memory diverges across exec modes");
+    let mut want = [0u8; 48];
+    want[24..28].copy_from_slice(&0x89ab_cdefu32.to_le_bytes());
+    want[28..32].copy_from_slice(&0x7654_3210u32.to_le_bytes());
+    assert_eq!(mem_d, want);
+}
+
+#[test]
+fn global_access_running_off_its_allocation_faults_identically() {
+    // Lane l accesses `out + 4l`; `out` holds 16 words, so lane 16 is
+    // the first lane outside it. The store faults there, after lanes
+    // 0..16 have stored; the load faults at the same lane.
+    let out = sassi_isa::GLOBAL_HEAP_BASE;
+    let lane = Gpr::new(0);
+    let prologue = || {
+        vec![
+            Instr::new(Op::S2R {
+                d: lane,
+                sr: sassi_isa::SpecialReg::LaneId,
+            }),
+            Instr::new(Op::Mov32I {
+                d: Gpr::new(3),
+                imm: out as u32,
+            }),
+            Instr::new(Op::IScAdd {
+                d: Gpr::new(2),
+                a: lane,
+                b: sassi_isa::Src::Reg(Gpr::new(3)),
+                shift: 2,
+            }),
+            Instr::new(Op::Mov32I {
+                d: Gpr::new(3),
+                imm: (out >> 32) as u32,
+            }),
+        ]
+    };
+    let mut store = prologue();
+    store.push(Instr::new(Op::St {
+        v: lane,
+        width: MemWidth::B32,
+        addr: MemAddr::global(Gpr::new(2), 0),
+        spill: false,
+    }));
+    let mut load = prologue();
+    load.push(Instr::new(Op::Ld {
+        d: Gpr::new(4),
+        width: MemWidth::B32,
+        addr: MemAddr::global(Gpr::new(2), 0),
+        spill: false,
+    }));
+    for code in [store, load] {
+        let m = raw_module(code);
+        let run = |mode| {
+            let mut dev = Device::with_defaults();
+            dev.exec_mode = mode;
+            assert_eq!(dev.mem.alloc(64, 16).unwrap(), out);
+            let res = dev
+                .launch(
+                    &m,
+                    "k",
+                    LaunchDims::linear(1, 32),
+                    &[],
+                    &mut NoHandlers,
+                    0,
+                    1 << 20,
+                )
+                .unwrap();
+            (res, dev.mem.read_bytes(out, 64).unwrap().to_vec())
+        };
+        let (res_d, mem_d) = run(ExecMode::Decoded);
+        let (res_r, mem_r) = run(ExecMode::Reference);
+        assert_eq!(res_d, res_r, "fault outcome diverges across exec modes");
+        assert_eq!(mem_d, mem_r, "memory diverges across exec modes");
+        match res_d.outcome {
+            KernelOutcome::Fault(info) => {
+                assert_eq!(info.kind, FaultKind::MemViolation { addr: out + 64 })
+            }
+            other => panic!("expected a fault, got {other:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The zero-allocation claim: a launch in either mode must never clone
 // an `Instr` (the seed interpreter cloned one per warp-step). Only
