@@ -11,15 +11,20 @@
 //! share. `alu_full_mask` runs ALU µops with every lane active,
 //! `alu_half_mask` the same µops guarded to half the warp, and
 //! `spill_fill` saves and restores 16 registers at one stack offset,
-//! as an instrumentation trampoline does.
+//! as an instrumentation trampoline does. `trampoline_full_mask` runs
+//! the code SASSI inserts at one site (a real `Sassi::apply` of a
+//! one-instruction kernel, calling a no-op handler), and
+//! `trampoline_half_mask` the same with half the warp exited, as
+//! instrumented apps run it with partly active warps.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
 use sassi_isa::{
-    CmpOp, FunctionMeta, Gpr, Guard, Instr, Label, LogicOp, MemAddr, MemWidth, Op, PredReg,
-    SpecialReg, Src,
+    CmpOp, Function, FunctionMeta, Gpr, Guard, Instr, Label, LogicOp, MemAddr, MemWidth, Op,
+    PredReg, SpecialReg, Src,
 };
 use sassi_kir::{Compiler, KernelBuilder};
-use sassi_sim::{Device, ExecMode, LaunchDims, LinkedFunction, Module, NoHandlers};
+use sassi_sim::{Device, ExecMode, HandlerRuntime, LaunchDims, LinkedFunction, Module, NoHandlers};
 use std::collections::BTreeMap;
 
 fn run_once(
@@ -158,8 +163,9 @@ fn bench_relaunch(c: &mut Criterion) {
 const INTERP_ITERS: u32 = 64;
 
 /// A raw SASS kernel `k`: seed R2..R17 per lane, set `P0` on lanes
-/// 0..16, run `body` `INTERP_ITERS` times in a uniform loop, exit.
-fn interp_kernel(body: Vec<Instr>) -> Module {
+/// 0..16 (and exit lanes 16..32 if `half_warp`), run `body`
+/// `INTERP_ITERS` times in a uniform loop, exit.
+fn interp_kernel(body: Vec<Instr>, half_warp: bool) -> Module {
     let r = Gpr::new;
     let mut code = vec![
         Instr::new(Op::S2R {
@@ -187,6 +193,9 @@ fn interp_kernel(body: Vec<Instr>) -> Module {
         d: r(18),
         imm: INTERP_ITERS,
     }));
+    if half_warp {
+        code.push(Instr::guarded(Guard::not(PredReg::new(0)), Op::Exit));
+    }
     let top = code.len() as u32;
     code.extend(body);
     code.push(Instr::new(Op::IAdd {
@@ -296,21 +305,70 @@ fn spill_fill_body() -> Vec<Instr> {
     body
 }
 
+/// SASSI's instrumentation of a one-instruction kernel (`IADD R2, R2,
+/// 0x1`) before every instruction with a no-op handler: the
+/// trampoline's stack push, register and predicate saves, parameter
+/// stores, handler call, restores and pop, then the instruction. The
+/// handler runs under the returned `Sassi`.
+fn trampoline_body() -> (Vec<Instr>, Sassi) {
+    let site = Function::new(
+        "site",
+        vec![Instr::new(Op::IAdd {
+            d: Gpr::new(2),
+            a: Gpr::new(2),
+            b: Src::Imm(1),
+            x: false,
+            cc: false,
+        })],
+        FunctionMeta::default(),
+    );
+    let mut sassi = Sassi::new();
+    sassi.on_before(
+        SiteFilter::ALL,
+        InfoFlags::NONE,
+        Box::new(FnHandler::free(|_| {})),
+    );
+    let body = sassi.apply(&site, 0).instrs;
+    assert!(body.len() > 8, "no trampoline: {body:?}");
+    (body, sassi)
+}
+
 fn bench_interp(c: &mut Criterion) {
-    let cases = [
-        ("alu_full_mask", interp_kernel(alu_body(Guard::ALWAYS))),
+    let (tramp_full, mut sassi_full) = trampoline_body();
+    let (tramp_half, mut sassi_half) = trampoline_body();
+    let cases: [(&str, Module, &mut dyn HandlerRuntime); 5] = [
+        (
+            "alu_full_mask",
+            interp_kernel(alu_body(Guard::ALWAYS), false),
+            &mut NoHandlers,
+        ),
         (
             "alu_half_mask",
-            interp_kernel(alu_body(Guard::on(PredReg::new(0)))),
+            interp_kernel(alu_body(Guard::on(PredReg::new(0))), false),
+            &mut NoHandlers,
         ),
-        ("spill_fill", interp_kernel(spill_fill_body())),
+        (
+            "spill_fill",
+            interp_kernel(spill_fill_body(), false),
+            &mut NoHandlers,
+        ),
+        (
+            "trampoline_full_mask",
+            interp_kernel(tramp_full, false),
+            &mut sassi_full,
+        ),
+        (
+            "trampoline_half_mask",
+            interp_kernel(tramp_half, true),
+            &mut sassi_half,
+        ),
     ];
     let dims = LaunchDims::linear(1, 256);
-    for (label, module) in &cases {
+    for (label, module, runtime) in cases {
         let mut dev = Device::with_defaults();
         let mut relaunch = || {
             let res = dev
-                .launch(module, "k", dims, &[], &mut NoHandlers, 0, 1 << 30)
+                .launch(&module, "k", dims, &[], runtime, 0, 1 << 30)
                 .unwrap();
             assert!(res.is_ok(), "{label}: {:?}", res.outcome);
             res.stats.warp_instrs

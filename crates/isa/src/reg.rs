@@ -27,6 +27,7 @@ impl Gpr {
     /// # Panics
     ///
     /// Panics if `n > 254` (255 is reserved for `RZ`; use [`Gpr::RZ`]).
+    #[inline]
     pub fn new(n: u8) -> Gpr {
         assert!(n < 255, "R{n} out of range (R0..R254)");
         Gpr(n)
@@ -49,6 +50,7 @@ impl Gpr {
     /// # Panics
     ///
     /// Panics if `self` is `R254` (no `R255` exists).
+    #[inline]
     pub fn pair_hi(self) -> Gpr {
         if self.is_rz() {
             return Gpr::RZ;

@@ -76,6 +76,15 @@ impl LaunchDims {
         }
     }
 
+    /// Threads per block and total blocks in the grid, or `None` if
+    /// either product overflows a `u32`. `Device::launch` rejects such
+    /// a geometry before anything else reads it, so the unchecked
+    /// accessors below never see one during a launch.
+    pub fn checked_sizes(&self) -> Option<(u32, u32)> {
+        let product = |(x, y, z): (u32, u32, u32)| x.checked_mul(y)?.checked_mul(z);
+        Some((product(self.block)?, product(self.grid)?))
+    }
+
     /// Threads per block.
     pub fn threads_per_block(&self) -> u32 {
         self.block.0 * self.block.1 * self.block.2
@@ -111,6 +120,15 @@ mod tests {
         let d = LaunchDims::plane((4, 4), (16, 16));
         assert_eq!(d.threads_per_block(), 256);
         assert_eq!(d.total_blocks(), 16);
+        assert_eq!(d.checked_sizes(), Some((256, 16)));
+        let wide = |grid, block| LaunchDims { grid, block }.checked_sizes();
+        assert_eq!(
+            wide((65536, 65535, 1), (1, 1, 1)),
+            Some((1, u32::MAX - 65535))
+        );
+        assert_eq!(wide((65536, 65537, 1), (32, 1, 1)), None);
+        assert_eq!(wide((1, 1, 1), (65536, 65536, 1)), None);
+        assert_eq!(wide((1, 1, 1), (2, 65536, 32768)), None);
     }
 
     #[test]

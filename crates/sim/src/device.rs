@@ -32,7 +32,7 @@
 //! `RED` reductions are commutative and parallelize fine.
 
 use crate::config::{GpuConfig, LaunchDims};
-use crate::decode::{DSrc, DecodedModule, UOp, GUARD_ALWAYS};
+use crate::decode::{DSrc, DecodedInstr, DecodedModule, UOp, GUARD_ALWAYS};
 use crate::module::{LinkedFunction, Module};
 use crate::stats::{FaultInfo, FaultKind, KernelOutcome, LaunchResult, LaunchStats};
 use crate::trap::{HandlerRuntime, TrapCtx, TrapRef};
@@ -200,8 +200,11 @@ impl Device {
         let kf = module
             .function(kernel)
             .ok_or_else(|| LaunchError::UnknownKernel(kernel.to_string()))?;
-        let wpb = dims.warps_per_block();
-        if wpb == 0 || dims.total_blocks() == 0 {
+        let Some((tpb, total_blocks)) = dims.checked_sizes() else {
+            return Err(LaunchError::BadGeometry(format!("{dims:?} overflows u32")));
+        };
+        let wpb = tpb.div_ceil(32);
+        if wpb == 0 || total_blocks == 0 {
             return Err(LaunchError::BadGeometry("empty grid or block".into()));
         }
         if wpb > self.cfg.max_warps_per_sm {
@@ -225,7 +228,7 @@ impl Device {
             )));
         }
 
-        let num_shards = self.cfg.num_sms.min(dims.total_blocks()).max(1) as usize;
+        let num_shards = self.cfg.num_sms.min(total_blocks).max(1) as usize;
         // `cfg` is public, so a slot built under an older hierarchy
         // config is rebuilt rather than recycled.
         for slot in self.slots.iter_mut().take(num_shards) {
@@ -639,9 +642,11 @@ impl Exec<'_> {
     /// so a long-latency load still delays the warp's next run while
     /// other warps fill the gap.
     ///
-    /// In `Decoded` mode consecutive ALU µops take a fused inner loop
-    /// and every other µop goes through `step_decoded`; in `Reference`
-    /// mode every µop goes through `step_reference`.
+    /// In `Decoded` mode every warp-local µop (see [`Exec::exec_warp`])
+    /// runs in [`Exec::run_warp_local`]'s loop, the run's last µop
+    /// included, and only the µops that need the SM go through
+    /// `step_decoded`; in `Reference` mode every µop goes through
+    /// `step_reference`.
     fn step_block(&mut self, wi: usize) -> Result<(), FaultKind> {
         // The extent is asked from the *current* pc: jumps into the
         // middle of a run execute only its remaining suffix.
@@ -651,45 +656,17 @@ impl Exec<'_> {
         } else {
             self.decoded.block_end(pc)
         };
-        let fused = self.mode == ExecMode::Decoded;
+        let decoded = self.mode == ExecMode::Decoded;
         let mut block_ready = 0u64;
         loop {
-            // Straight-line fast path: consecutive ALU-class µops of
-            // the run execute with the warp, the stat block and the
-            // cycle counter borrowed once, instead of re-resolving
-            // `self.warps[wi]` and dispatching through `step_decoded`
-            // per µop. Semantics are identical: same guard
-            // evaluation, same stat bumps, one cycle per µop, and the
-            // same `ready_at` contribution (`cycle + lat`, what
-            // `finish` would write) folded into the block maximum.
-            // The boundary µop at `end - 1` — like memory, trap, S2R
-            // and warp-wide µops — always takes the general path.
-            if fused {
-                let dm: &DecodedModule = self.decoded;
-                let cbank = self.cbank;
-                let w = &mut self.warps[wi];
-                let stats = &mut self.stats;
-                let mut cycle = self.cycle;
-                while w.pc + 1 < end {
-                    let Some(di) = dm.get(w.pc) else { break };
-                    let mask = guard_mask(w, di.guard);
-                    if !Self::exec_alu(cbank, w, &di.uop, mask) {
-                        break;
-                    }
-                    stats.warp_instrs += 1;
-                    stats.thread_instrs += mask.count_ones() as u64;
-                    stats.issue.bump(di.class);
-                    w.pc += 1;
-                    block_ready = block_ready.max(cycle + (di.lat as u64).max(1));
-                    cycle += 1;
-                }
-                self.cycle = cycle;
+            if decoded && self.run_warp_local(wi, end, &mut block_ready) {
+                break;
             }
             let pc = self.warps[wi].pc;
             // On a fault the warp's pc still names the faulting µop
             // and earlier µops' cycles are already charged — precise
             // resume needs no boundary at fault-capable µops.
-            if fused {
+            if decoded {
                 self.step_decoded(wi)?;
             } else {
                 self.step_reference(wi)?;
@@ -709,6 +686,43 @@ impl Exec<'_> {
         let w = &mut self.warps[wi];
         w.ready_at = block_ready.max(w.ready_at);
         Ok(())
+    }
+
+    /// The decoded run loop: runs warp `wi`'s warp-local µops with the
+    /// warp, stats and cycle borrowed once, until the pc reaches `end`
+    /// (`true`) or [`Exec::exec_warp`] declines a µop (`false`). Each
+    /// µop bumps the stats and cycle as `step_decoded` does and folds
+    /// the `ready_at` `finish` would write into `block_ready`.
+    fn run_warp_local(&mut self, wi: usize, end: u32, block_ready: &mut u64) -> bool {
+        let dm: &DecodedModule = self.decoded;
+        let env = WarpEnv {
+            cbank: self.cbank,
+            ctas: self.ctas,
+            sm: self.sm_id,
+            dims: &self.dims,
+            local_lat: self.hier.local_latency().max(2),
+        };
+        let w = &mut self.warps[wi];
+        let stats = &mut self.stats;
+        let mut cycle = self.cycle;
+        let done = loop {
+            let Some(di) = dm.get(w.pc) else { break false };
+            let mask = guard_mask(w, di.guard);
+            let Some(lat) = Self::exec_warp(&env, w, di, mask, cycle) else {
+                break false;
+            };
+            stats.warp_instrs += 1;
+            stats.thread_instrs += mask.count_ones() as u64;
+            stats.issue.bump(di.class);
+            w.pc += 1;
+            *block_ready = (*block_ready).max(cycle + lat.max(1));
+            cycle += 1;
+            if w.pc >= end {
+                break true;
+            }
+        };
+        self.cycle = cycle;
+        done
     }
 
     fn pick(&mut self) -> Pick {
@@ -789,8 +803,15 @@ impl Exec<'_> {
         }
     }
 
-    /// The pre-decoded hot loop: executes one µop with no allocation,
-    /// no `Instr` clone and no operand re-matching.
+    /// Executes one µop that [`Exec::exec_warp`] declines, with no
+    /// allocation, no `Instr` clone and no operand re-matching: control
+    /// flow, `BAR`, traps, `MEMBAR`, atomics, global, shared and
+    /// generic memory, and local accesses off the row path.
+    ///
+    /// Kept out of line: inlined into the scheduler loop, it cost
+    /// perfbench's `native` about 8% of its runs per second on a
+    /// 2-core host.
+    #[inline(never)]
     fn step_decoded(&mut self, wi: usize) -> Result<(), FaultKind> {
         // Copying the long-lived reference out of `self` unties the
         // instruction from the `&mut self` borrow, so the borrow
@@ -805,7 +826,6 @@ impl Exec<'_> {
         self.stats.thread_instrs += mask.count_ones() as u64;
         self.stats.issue.bump(di.class);
 
-        let lat: u64 = di.lat as u64;
         match di.uop {
             // ---- control flow ------------------------------------------------
             UOp::Ssy { reconv } => {
@@ -936,106 +956,32 @@ impl Exec<'_> {
             }
             UOp::MemBar => {} // lat precomputed in the header
 
-            // ---- warp-wide ---------------------------------------------------
-            UOp::Vote {
-                mode,
-                d,
-                p_out,
-                src,
-                neg_src,
-            } => {
-                let w = &mut self.warps[wi];
-                let mut ballot: u32 = 0;
-                for_lanes(mask, |lane| {
-                    if w.pred(lane, src) != neg_src {
-                        ballot |= 1 << lane;
-                    }
-                });
-                let all = ballot & mask == mask && mask != 0;
-                let any = ballot != 0;
-                for_lanes(mask, |lane| {
-                    match mode {
-                        VoteMode::Ballot => w.set_reg(lane, d, ballot),
-                        VoteMode::All => w.set_reg(lane, d, all as u32),
-                        VoteMode::Any => w.set_reg(lane, d, any as u32),
-                    }
-                    if let Some(p) = p_out {
-                        let v = match mode {
-                            VoteMode::All => all,
-                            VoteMode::Any => any,
-                            VoteMode::Ballot => ballot != 0,
-                        };
-                        w.set_pred(lane, p, v);
-                    }
-                });
-            }
-            UOp::Shfl {
-                mode,
-                d,
-                a,
-                b,
-                p_out,
-            } => {
-                let b = rsrc_c(self.cbank, b);
-                let w = &mut self.warps[wi];
-                let snapshot = w.row(a);
-                for_lanes(mask, |lane| {
-                    let bv = rval(w, lane, b);
-                    let src_lane = match mode {
-                        ShflMode::Idx => (bv & 31) as usize,
-                        ShflMode::Up => lane.wrapping_sub(bv as usize),
-                        ShflMode::Down => lane + bv as usize,
-                        ShflMode::Bfly => lane ^ (bv as usize & 31),
-                    };
-                    let in_range = src_lane < 32 && (mask & (1 << src_lane)) != 0;
-                    let val = if in_range {
-                        snapshot[src_lane]
-                    } else {
-                        snapshot[lane]
-                    };
-                    w.set_reg(lane, d, val);
-                    if let Some(p) = p_out {
-                        w.set_pred(lane, p, in_range);
-                    }
-                });
-            }
-
-            // ---- per-lane ALU -------------------------------------------------
-            _ => self.alu_decoded(wi, &di.uop, mask),
+            // ALU, `S2R`, `VOTE` and `SHFL` need only the warp, and
+            // `step_block`'s loop runs every one of them.
+            _ => unreachable!("warp-local µop {:?} reached step_decoded", di.uop),
         }
         let w = &mut self.warps[wi];
         w.pc += 1;
-        finish(w, self.cycle, lat);
+        finish(w, self.cycle, di.lat as u64);
         Ok(())
     }
 
-    /// Per-lane execution of the ALU-class µops. `S2R` is the one
-    /// ALU-class µop that reads scheduler state (cta coordinates, sm
-    /// id, the cycle counter), so it is handled here; every other op
-    /// runs in the warp-only [`Exec::exec_alu`], shared with the
-    /// block-stepped straight-line fast loop.
-    fn alu_decoded(&mut self, wi: usize, uop: &UOp, mask: LaneMask) {
-        if let UOp::S2R { d, sr } = *uop {
-            let ctx = self.special_ctx(&self.warps[wi]);
-            write_lanes(&mut self.warps[wi], mask, d, |lane| {
-                special_value(&ctx, lane, sr)
-            });
-            return;
-        }
-        Self::exec_alu(self.cbank, &mut self.warps[wi], uop, mask);
-    }
-
-    /// Warp-only execution of the ALU-class µops: the operation is
-    /// matched and its operands resolved once per warp; only the lane
-    /// loop runs per thread. Operand registers are copied out as whole
-    /// rows first, so a destination may alias any operand, and a full
-    /// mask computes the destination row in one loop over the lanes
-    /// (see [`write_lanes`]). Returns `false` — having done nothing —
-    /// for µops that need more than the warp and the constant bank
-    /// (memory, control, trap, `S2R`, warp-wide), so callers fall
-    /// back to the general `step_decoded` path.
-    fn exec_alu(cbank: &[u8], w: &mut Warp, uop: &UOp, mask: LaneMask) -> bool {
-        match *uop {
+    /// The decoded executor of the warp-local µops, which need only the
+    /// warp and `env`: ALU, `S2R`, `VOTE`, `SHFL`, and local `LD`/`ST`
+    /// on the row path (see [`local_rows`]). Returns the µop's latency,
+    /// or `None`, having done nothing, for any other µop, a local access
+    /// that would fault included. Operand rows are copied out first, so
+    /// a destination may alias any operand, and a full mask fills the
+    /// destination row in one loop over the lanes (see [`write_lanes`]).
+    fn exec_warp(
+        env: &WarpEnv,
+        w: &mut Warp,
+        di: &DecodedInstr,
+        mask: LaneMask,
+        cycle: u64,
+    ) -> Option<u64> {
+        let cbank = env.cbank;
+        match di.uop {
             UOp::Mov { d, a } => {
                 let a = src_row(w, rsrc_c(cbank, a));
                 write_lanes(w, mask, d, |l| a[l]);
@@ -1266,31 +1212,75 @@ impl Exec<'_> {
                 let a = w.row(a);
                 for_lanes(mask, |l| w.preds[l] = (a[l] & 0x7f) as u8);
             }
-            UOp::Nop | UOp::MemBar => {}
-            // Control / memory / warp-wide / `S2R` µops take the
-            // general `step_decoded` path.
-            _ => return false,
+            UOp::S2R { d, sr } => {
+                let v: [u32; 32] = std::array::from_fn(|l| special_value(env, w, cycle, l, sr));
+                write_lanes(w, mask, d, |l| v[l]);
+            }
+            UOp::Vote {
+                mode,
+                d,
+                p_out,
+                src,
+                neg_src,
+            } => {
+                let ballot = mask & (w.pred_lanes(src) ^ if neg_src { u32::MAX } else { 0 });
+                let (all, any) = (ballot == mask && mask != 0, ballot != 0);
+                let (v, p) = match mode {
+                    VoteMode::Ballot => (ballot, any),
+                    VoteMode::All => (all as u32, all),
+                    VoteMode::Any => (any as u32, any),
+                };
+                write_lanes(w, mask, d, |_| v);
+                if let Some(p_out) = p_out {
+                    write_pred_lanes(w, mask, p_out, |_| p);
+                }
+            }
+            UOp::Shfl {
+                mode,
+                d,
+                a,
+                b,
+                p_out,
+            } => {
+                let (a, b) = (w.row(a), src_row(w, rsrc_c(cbank, b)));
+                // The lane each lane reads, if it is in range and active.
+                let from = |l: usize| {
+                    let s = match mode {
+                        ShflMode::Idx => (b[l] & 31) as usize,
+                        ShflMode::Up => l.wrapping_sub(b[l] as usize),
+                        ShflMode::Down => l + b[l] as usize,
+                        ShflMode::Bfly => l ^ (b[l] as usize & 31),
+                    };
+                    (s < 32 && mask >> s & 1 != 0).then_some(s)
+                };
+                write_lanes(w, mask, d, |l| a[from(l).unwrap_or(l)]);
+                if let Some(p) = p_out {
+                    write_pred_lanes(w, mask, p, |l| from(l).is_some());
+                }
+            }
+            UOp::Ld { d, width, addr } => {
+                let (off, n) = local_rows(w, mask, width, &addr)?;
+                return w.load_local_rows(mask, off, d, n).then_some(env.local_lat);
+            }
+            UOp::St { v, width, addr } => {
+                let (off, n) = local_rows(w, mask, width, &addr)?;
+                return w.store_local_rows(mask, off, v, n).then_some(env.local_lat);
+            }
+            UOp::Nop => {}
+            _ => return None,
         }
-        true
-    }
-
-    /// Snapshots the warp-invariant inputs of special-register reads,
-    /// so `S2R` hoists them out of the lane loop.
-    fn special_ctx(&self, w: &Warp) -> SpecialCtx {
-        let cta = &self.ctas[w.cta];
-        SpecialCtx {
-            warp_in_cta: w.warp_in_cta,
-            active: w.active,
-            ctaid: cta.ctaid,
-            sm: self.sm_id,
-            block: self.dims.block,
-            grid: self.dims.grid,
-            cycle: self.cycle,
-        }
+        Some(di.lat as u64)
     }
 
     fn special(&self, w: &Warp, lane: usize, sr: SpecialReg) -> u32 {
-        special_value(&self.special_ctx(w), lane, sr)
+        let env = WarpEnv {
+            cbank: self.cbank,
+            ctas: self.ctas,
+            sm: self.sm_id,
+            dims: &self.dims,
+            local_lat: self.hier.local_latency().max(2),
+        };
+        special_value(&env, w, self.cycle, lane, sr)
     }
 
     // ---- memory helpers ----------------------------------------------------
@@ -1334,14 +1324,11 @@ impl Exec<'_> {
         }
     }
 
-    /// `LD` in the decoded interpreter. The address space is a static
-    /// property of the instruction (only `Generic` resolves per lane),
-    /// so it is dispatched once. A `Local` load on the row path (see
-    /// [`local_rows`]; every trampoline fill) is one bounds check and
-    /// one masked row copy per word, and a static-`Global` load whose
-    /// lanes fall in one allocation is checked once (see
-    /// [`Exec::global_load`]). Every other `Local`, `Global` or
-    /// `Generic` load runs the per-lane loop [`Exec::mem_load_lanes`].
+    /// `LD` in the decoded interpreter, for the loads `exec_warp`
+    /// declines, dispatched once on the static address space. A
+    /// static-`Global` load whose lanes fall in one allocation is
+    /// checked once (see [`Exec::global_load`]); every other `Global`,
+    /// `Local` or `Generic` load runs [`Exec::mem_load_lanes`].
     fn mem_load(
         &mut self,
         wi: usize,
@@ -1351,17 +1338,7 @@ impl Exec<'_> {
         addr: &MemAddr,
     ) -> Result<(), FaultKind> {
         let bytes = width.bytes();
-        let (has_local, has_shared) = match addr.space {
-            AddrSpace::Local => {
-                let w = &mut self.warps[wi];
-                let Some((a, n)) = local_rows(w, mask, width, addr) else {
-                    return self.mem_load_lanes(wi, mask, d, width, addr);
-                };
-                if !w.load_local_rows(mask, a, d, n) {
-                    return Err(FaultKind::StackViolation { offset: a as u64 });
-                }
-                (true, false)
-            }
+        match addr.space {
             AddrSpace::Shared => {
                 let mut m = mask;
                 while m != 0 {
@@ -1380,22 +1357,19 @@ impl Exec<'_> {
                     }
                     write_load_result(&mut self.warps[wi], lane, d, width, &buf);
                 }
-                (false, mask != 0)
+                let lat = self.mem_latency(&[], bytes, false, false, mask != 0);
+                finish(&mut self.warps[wi], self.cycle, lat);
+                Ok(())
             }
-            AddrSpace::Global => {
-                return match bytes {
-                    1 => self.global_load::<1>(wi, mask, d, width, addr),
-                    2 => self.global_load::<2>(wi, mask, d, width, addr),
-                    4 => self.global_load::<4>(wi, mask, d, width, addr),
-                    8 => self.global_load::<8>(wi, mask, d, width, addr),
-                    _ => self.global_load::<16>(wi, mask, d, width, addr),
-                }
-            }
-            AddrSpace::Generic => return self.mem_load_lanes(wi, mask, d, width, addr),
-        };
-        let lat = self.mem_latency(&[], bytes, false, has_local, has_shared);
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+            AddrSpace::Global => match bytes {
+                1 => self.global_load::<1>(wi, mask, d, width, addr),
+                2 => self.global_load::<2>(wi, mask, d, width, addr),
+                4 => self.global_load::<4>(wi, mask, d, width, addr),
+                8 => self.global_load::<8>(wi, mask, d, width, addr),
+                _ => self.global_load::<16>(wi, mask, d, width, addr),
+            },
+            AddrSpace::Local | AddrSpace::Generic => self.mem_load_lanes(wi, mask, d, width, addr),
+        }
     }
 
     /// A static-`Global` load of `N` bytes per lane. When the active
@@ -1430,8 +1404,8 @@ impl Exec<'_> {
 
     /// `LD`, one lane at a time, in any address space: the reference
     /// interpreter's load, and the decoded one's for `Generic`
-    /// addresses and for the accesses [`Exec::mem_load`] takes off its
-    /// row and window paths.
+    /// addresses, local loads off the row path and global loads off
+    /// the window path.
     pub(super) fn mem_load_lanes(
         &mut self,
         wi: usize,
@@ -1490,9 +1464,8 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// `ST` in the decoded interpreter, dispatched as in
-    /// [`Exec::mem_load`]; trampoline GPR saves (`STL`) take the
-    /// `Local` row path.
+    /// `ST` in the decoded interpreter, for the stores `exec_warp`
+    /// declines, dispatched as in [`Exec::mem_load`].
     fn mem_store(
         &mut self,
         wi: usize,
@@ -1502,17 +1475,7 @@ impl Exec<'_> {
         addr: &MemAddr,
     ) -> Result<(), FaultKind> {
         let bytes = width.bytes();
-        let (has_local, has_shared) = match addr.space {
-            AddrSpace::Local => {
-                let w = &mut self.warps[wi];
-                let Some((a, n)) = local_rows(w, mask, width, addr) else {
-                    return self.mem_store_lanes(wi, mask, v, width, addr);
-                };
-                if !w.store_local_rows(mask, a, v, n) {
-                    return Err(FaultKind::StackViolation { offset: a as u64 });
-                }
-                (true, false)
-            }
+        match addr.space {
             AddrSpace::Shared => {
                 let mut m = mask;
                 while m != 0 {
@@ -1529,22 +1492,19 @@ impl Exec<'_> {
                     }
                     shared[off..off + bytes as usize].copy_from_slice(&buf[..bytes as usize]);
                 }
-                (false, mask != 0)
+                let lat = self.mem_latency(&[], bytes, true, false, mask != 0);
+                finish(&mut self.warps[wi], self.cycle, lat);
+                Ok(())
             }
-            AddrSpace::Global => {
-                return match bytes {
-                    1 => self.global_store::<1>(wi, mask, v, width, addr),
-                    2 => self.global_store::<2>(wi, mask, v, width, addr),
-                    4 => self.global_store::<4>(wi, mask, v, width, addr),
-                    8 => self.global_store::<8>(wi, mask, v, width, addr),
-                    _ => self.global_store::<16>(wi, mask, v, width, addr),
-                }
-            }
-            AddrSpace::Generic => return self.mem_store_lanes(wi, mask, v, width, addr),
-        };
-        let lat = self.mem_latency(&[], bytes, true, has_local, has_shared);
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+            AddrSpace::Global => match bytes {
+                1 => self.global_store::<1>(wi, mask, v, width, addr),
+                2 => self.global_store::<2>(wi, mask, v, width, addr),
+                4 => self.global_store::<4>(wi, mask, v, width, addr),
+                8 => self.global_store::<8>(wi, mask, v, width, addr),
+                _ => self.global_store::<16>(wi, mask, v, width, addr),
+            },
+            AddrSpace::Local | AddrSpace::Generic => self.mem_store_lanes(wi, mask, v, width, addr),
+        }
     }
 
     /// A static-`Global` store of `N` bytes per lane, checked as in
@@ -1575,8 +1535,8 @@ impl Exec<'_> {
 
     /// `ST`, one lane at a time, in any address space: the reference
     /// interpreter's store, and the decoded one's for `Generic`
-    /// addresses and for the accesses [`Exec::mem_store`] takes off its
-    /// row and window paths.
+    /// addresses, local stores off the row path and global stores off
+    /// the window path.
     pub(super) fn mem_store_lanes(
         &mut self,
         wi: usize,
@@ -1803,14 +1763,6 @@ enum RSrc {
     Reg(Gpr),
 }
 
-#[inline(always)]
-fn rval(w: &Warp, lane: usize, s: RSrc) -> u32 {
-    match s {
-        RSrc::Val(v) => v,
-        RSrc::Reg(r) => w.reg(lane, r),
-    }
-}
-
 /// Applies `f` to every lane in `mask`, ascending. The full-warp case
 /// takes a straight-line loop (no per-lane mask tests) — the
 /// uniform-warp fast path.
@@ -1888,40 +1840,44 @@ fn sign_flip(neg: bool) -> u32 {
     }
 }
 
-/// Warp-invariant inputs of a special-register read.
-struct SpecialCtx {
-    warp_in_cta: u32,
-    active: u32,
-    ctaid: (u32, u32, u32),
+/// What a warp-local µop reads besides its warp (see
+/// [`Exec::exec_warp`]), borrowed from the `Exec` as the run loop
+/// starts.
+struct WarpEnv<'e> {
+    cbank: &'e [u8],
+    ctas: &'e [Cta],
     sm: u32,
-    block: (u32, u32, u32),
-    grid: (u32, u32, u32),
-    cycle: u64,
+    dims: &'e LaunchDims,
+    /// What a local access costs: `max(2, hier.local_latency())`, as
+    /// [`Exec::mem_latency`] charges it.
+    local_lat: u64,
 }
 
-fn special_value(ctx: &SpecialCtx, lane: usize, sr: SpecialReg) -> u32 {
-    let linear = ctx.warp_in_cta * 32 + lane as u32;
-    let (bx, by, _) = ctx.block;
+/// Lane `lane`'s value of special register `sr` in warp `w` at `cycle`.
+fn special_value(env: &WarpEnv, w: &Warp, cycle: u64, lane: usize, sr: SpecialReg) -> u32 {
+    let linear = w.warp_in_cta * 32 + lane as u32;
+    let (block, grid) = (env.dims.block, env.dims.grid);
+    let ctaid = || env.ctas[w.cta].ctaid;
     match sr {
-        SpecialReg::TidX => linear % bx,
-        SpecialReg::TidY => (linear / bx) % by,
-        SpecialReg::TidZ => linear / (bx * by),
-        SpecialReg::CtaIdX => ctx.ctaid.0,
-        SpecialReg::CtaIdY => ctx.ctaid.1,
-        SpecialReg::CtaIdZ => ctx.ctaid.2,
-        SpecialReg::NTidX => ctx.block.0,
-        SpecialReg::NTidY => ctx.block.1,
-        SpecialReg::NTidZ => ctx.block.2,
-        SpecialReg::NCtaIdX => ctx.grid.0,
-        SpecialReg::NCtaIdY => ctx.grid.1,
-        SpecialReg::NCtaIdZ => ctx.grid.2,
+        SpecialReg::TidX => linear % block.0,
+        SpecialReg::TidY => (linear / block.0) % block.1,
+        SpecialReg::TidZ => linear / (block.0 * block.1),
+        SpecialReg::CtaIdX => ctaid().0,
+        SpecialReg::CtaIdY => ctaid().1,
+        SpecialReg::CtaIdZ => ctaid().2,
+        SpecialReg::NTidX => block.0,
+        SpecialReg::NTidY => block.1,
+        SpecialReg::NTidZ => block.2,
+        SpecialReg::NCtaIdX => grid.0,
+        SpecialReg::NCtaIdY => grid.1,
+        SpecialReg::NCtaIdZ => grid.2,
         SpecialReg::LaneId => lane as u32,
-        SpecialReg::WarpId => ctx.warp_in_cta,
-        SpecialReg::SmId => ctx.sm,
-        SpecialReg::ClockLo => ctx.cycle as u32,
-        SpecialReg::ClockHi => (ctx.cycle >> 32) as u32,
+        SpecialReg::WarpId => w.warp_in_cta,
+        SpecialReg::SmId => env.sm,
+        SpecialReg::ClockLo => cycle as u32,
+        SpecialReg::ClockHi => (cycle >> 32) as u32,
         SpecialReg::LaneMaskLt => (1u32 << lane) - 1,
-        SpecialReg::ActiveMask => ctx.active,
+        SpecialReg::ActiveMask => w.active,
     }
 }
 
@@ -1982,11 +1938,14 @@ fn uniform_offset(mask: LaneMask, base: &[u32; 32], off: u32) -> Option<u32> {
 }
 
 /// The slab offset and word count of a local access on the row path:
-/// a 32-, 64- or 128-bit access that every active lane makes at one
-/// 4-aligned offset, as every trampoline spill and fill does. `None`
-/// sends the access to the per-lane loop.
+/// a 32-, 64- or 128-bit `Local` access that every active lane makes
+/// at one 4-aligned offset, as every trampoline spill, fill and
+/// parameter store does. `None` sends the access to the per-lane loop.
+#[inline(always)]
 fn local_rows(w: &Warp, mask: LaneMask, width: MemWidth, addr: &MemAddr) -> Option<(u32, u8)> {
-    if !matches!(width, MemWidth::B32 | MemWidth::B64 | MemWidth::B128) {
+    if addr.space != AddrSpace::Local
+        || !matches!(width, MemWidth::B32 | MemWidth::B64 | MemWidth::B128)
+    {
         return None;
     }
     uniform_offset(mask, &w.row(addr.base), addr.offset as u32)

@@ -2,7 +2,8 @@
 //! executing straight from the linked `Instr` array.
 //!
 //! This is the differential-testing oracle for the pre-decoded fast
-//! path (`Exec::step_decoded`): `crates/sim/tests/decode_equiv.rs`
+//! path (`Exec::run_warp_local` and `Exec::step_decoded`):
+//! `crates/sim/tests/decode_equiv.rs`
 //! runs every workload and a generated kernel corpus through both
 //! modes and requires identical launch results, stats and memory. Keep
 //! the semantics here boring and literal; optimizations belong in the

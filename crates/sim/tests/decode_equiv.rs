@@ -380,6 +380,40 @@ fn unprovisioned_register_is_rejected_at_launch() {
 }
 
 #[test]
+fn oversized_geometry_is_rejected_at_launch() {
+    // Each grid or block product overflows a u32: 65536 * 65537 blocks
+    // would wrap to 65536, and 65536 * 65536 threads to an empty block.
+    let m = raw_module(vec![Instr::new(Op::Exit)]);
+    let oversized = [
+        LaunchDims {
+            grid: (65536, 65537, 1),
+            block: (32, 1, 1),
+        },
+        LaunchDims {
+            grid: (1, 1, 1),
+            block: (65536, 65536, 1),
+        },
+        LaunchDims {
+            grid: (2, 1, 1),
+            block: (64, 1 << 16, 1 << 16),
+        },
+    ];
+    for dims in oversized {
+        for mode in [ExecMode::Decoded, ExecMode::Reference] {
+            let mut dev = Device::with_defaults();
+            dev.exec_mode = mode;
+            let r = dev.launch(&m, "k", dims, &[], &mut NoHandlers, 0, 1 << 20);
+            match r {
+                Err(LaunchError::BadGeometry(msg)) => {
+                    assert!(msg.contains("overflows u32"), "{mode:?} {dims:?}: {msg}")
+                }
+                other => panic!("{mode:?} {dims:?}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn unreached_invalid_site_is_harmless() {
     // The bad branch sits after EXIT: decode marks it UOp::Invalid, but
     // no warp reaches it, so the launch completes in both modes.

@@ -1,23 +1,34 @@
-//! Differential test of the register-major warp state: random
-//! straight-line blocks of ALU µops and local loads and stores run in
-//! both exec modes, and must give the same `LaunchResult` (outcome,
-//! fault and cycles included) and the same global output. The decoded
-//! interpreter takes its row paths (full-mask ALU loops, one masked
+//! Differential test of the register-major warp state and the decoded
+//! run loop: random straight-line blocks of ALU, `S2R`, `VOTE` and
+//! `SHFL` µops, local loads and stores, and global stores of register
+//! snapshots run in both exec modes, and must give the same
+//! `LaunchResult` (outcome, fault pc and cycles included) and the same
+//! global output. The decoded interpreter runs every warp-local µop in
+//! its run loop, with its row paths (full-mask ALU loops, one masked
 //! row copy per word for a spill every lane makes at one offset) where
-//! they apply; the reference interpreter runs every lane on its own.
+//! they apply; the reference interpreter runs every lane of every µop
+//! on its own.
 //!
 //! The blocks vary the access width (8 to 128 bits), aligned,
 //! unaligned and cross-word offsets, one slab offset for all lanes or
 //! one per lane, accesses at and past the slab's top word, `d == a ==
 //! b` aliasing and `RZ` operands, and full, half, one-lane and empty
-//! guard masks.
+//! guard masks. A block may end in a loop back to a branch target
+//! inside it, and may run in a module whose runs are one µop long (a
+//! consuming global atomic anywhere in a module makes every µop the
+//! last of its run), so every kind of warp-local µop also ends runs
+//! and sits right before a branch target. The snapshots make a fault
+//! mid-run show what memory held when it struck.
 
 use proptest::prelude::*;
 use sassi_isa::{
-    CmpOp, FunctionMeta, Gpr, Guard, Instr, LogicOp, MemAddr, MemWidth, Op, PredReg, SpecialReg,
-    Src, GLOBAL_HEAP_BASE,
+    AtomOp, CmpOp, FunctionMeta, Gpr, Guard, Instr, Label, LogicOp, MemAddr, MemWidth, Op, PredReg,
+    ShflMode, SpecialReg, Src, VoteMode, GLOBAL_HEAP_BASE,
 };
-use sassi_sim::{Device, ExecMode, LaunchDims, LaunchResult, LinkedFunction, Module, NoHandlers};
+use sassi_sim::{
+    Device, ExecMode, FaultKind, KernelOutcome, LaunchDims, LaunchResult, LinkedFunction, Module,
+    NoHandlers,
+};
 use std::collections::BTreeMap;
 
 /// Registers the random ops read and write: R4..R11, and `RZ` one
@@ -182,21 +193,118 @@ fn local_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One guarded µop of the random block: an ALU µop or, as often, a
-/// local load or store.
+/// The warp-local µops besides the ALU ones: `S2R` (the cycle counter
+/// among its sources), `VOTE` and `SHFL` (shift amounts that reach
+/// past the warp), writing `P3` or `P4` when they set a predicate.
+fn warp_wide_strategy() -> impl Strategy<Value = Op> {
+    let r = reg_strategy;
+    let p_out = || (0u8..3).prop_map(|p| (p > 0).then(|| PredReg::new(2 + p)));
+    prop_oneof![
+        (r(), 0u8..7).prop_map(|(d, sr)| Op::S2R {
+            d,
+            sr: [
+                SpecialReg::LaneId,
+                SpecialReg::TidX,
+                SpecialReg::ClockLo,
+                SpecialReg::WarpId,
+                SpecialReg::SmId,
+                SpecialReg::LaneMaskLt,
+                SpecialReg::ActiveMask,
+            ][sr as usize],
+        }),
+        (0u8..3, r(), p_out(), 0u8..5, any::<bool>()).prop_map(|(mode, d, p_out, src, neg_src)| {
+            Op::Vote {
+                mode: [VoteMode::All, VoteMode::Any, VoteMode::Ballot][mode as usize],
+                d,
+                p_out,
+                src: if src < 4 {
+                    PredReg::new(src)
+                } else {
+                    PredReg::PT
+                },
+                neg_src,
+            }
+        }),
+        ((0u8..4, r(), r()), src_strategy(), p_out(), 0u32..40).prop_map(
+            |((mode, d, a), b, p_out, delta)| Op::Shfl {
+                mode: [ShflMode::Idx, ShflMode::Up, ShflMode::Down, ShflMode::Bfly][mode as usize],
+                d,
+                a,
+                // An immediate shift stays small enough to land in the
+                // warp most of the time.
+                b: match b {
+                    Src::Imm(_) => Src::Imm(delta),
+                    b => b,
+                },
+                c: Src::Imm(31),
+                p_out,
+            }
+        ),
+    ]
+}
+
+/// A global store of one register of every guarded lane into one of
+/// the 16 snapshot words of its lane's output.
+fn snapshot_strategy() -> impl Strategy<Value = Op> {
+    (reg_strategy(), 0i32..16).prop_map(|(v, slot)| Op::St {
+        v,
+        width: MemWidth::B32,
+        addr: MemAddr::global(out_ptr(), SNAPSHOTS + 4 * slot),
+        spill: false,
+    })
+}
+
+/// One guarded µop of the random block: an ALU µop, a local load or
+/// store, a warp-wide µop or a snapshot store.
 fn step_strategy() -> impl Strategy<Value = Instr> {
     (
-        guard_strategy(),
-        any::<bool>(),
+        (guard_strategy(), 0u8..9),
         alu_strategy(),
         local_strategy(),
+        warp_wide_strategy(),
+        snapshot_strategy(),
     )
-        .prop_map(|(g, mem, alu, local)| Instr::guarded(g, if mem { local } else { alu }))
+        .prop_map(|((g, pick), alu, local, wide, snap)| {
+            let op = match pick {
+                0..=2 => alu,
+                3..=5 => local,
+                6 | 7 => wide,
+                _ => snap,
+            };
+            Instr::guarded(g, op)
+        })
+}
+
+/// How the random block sits in the kernel.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    /// The block from this index on runs twice, after a branch back to
+    /// it, so the µop before that index sits right before a branch
+    /// target.
+    loop_from: Option<usize>,
+    /// An unreached consuming global atomic makes every run of the
+    /// module one µop long.
+    one_uop_runs: bool,
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (any::<bool>(), 0usize..24, any::<bool>()).prop_map(|(looped, at, one_uop_runs)| Shape {
+        loop_from: looped.then_some(at),
+        one_uop_runs,
+    })
 }
 
 const OUT: u64 = GLOBAL_HEAP_BASE;
-/// Bytes of output per lane: R4..R15, then the predicate file.
-const LANE_OUT: u32 = 64;
+/// Bytes of output per lane: R4..R15, the predicate file, then 16
+/// snapshot words at `SNAPSHOTS`.
+const LANE_OUT: u32 = 128;
+const SNAPSHOTS: i32 = 64;
+
+/// The register pair holding the lane's output address, `OUT + lane *
+/// LANE_OUT`.
+fn out_ptr() -> Gpr {
+    Gpr::new(18)
+}
 
 fn mov(d: u8, imm: u32) -> Instr {
     Instr::new(Op::Mov32I {
@@ -226,9 +334,10 @@ fn imad(d: u8, a: u8, b: u32, c: u8) -> Instr {
 }
 
 /// The kernel: a prologue seeding registers, predicates and local
-/// memory per lane, the random block, and an epilogue writing R4..R15
-/// and the predicates of every lane to global memory.
-fn kernel(block: &[Instr], seeds: &[u32]) -> Module {
+/// memory per lane, the random block laid out as `shape` says, and an
+/// epilogue writing R4..R15 and the predicates of every lane to global
+/// memory.
+fn kernel(block: &[Instr], seeds: &[u32], shape: Shape) -> Module {
     let lane = Gpr::new(0);
     let mut code = vec![
         Instr::new(Op::S2R {
@@ -273,16 +382,37 @@ fn kernel(block: &[Instr], seeds: &[u32]) -> Module {
             spill: false,
         }));
     }
-    code.extend_from_slice(block);
-    // R18:R19 = OUT + lane * LANE_OUT.
+    // R18:R19 = OUT + lane * LANE_OUT; R21 counts the block's passes.
     code.push(mov(13, OUT as u32));
     code.push(imad(18, 0, LANE_OUT, 13));
     code.push(mov(19, (OUT >> 32) as u32));
+    code.push(mov(21, 2));
+    let split = shape.loop_from.map_or(block.len(), |k| k.min(block.len()));
+    code.extend_from_slice(&block[..split]);
+    let top = code.len() as u32;
+    code.extend_from_slice(&block[split..]);
+    if shape.loop_from.is_some() {
+        code.push(Instr::new(Op::IAdd {
+            d: Gpr::new(21),
+            a: Gpr::new(21),
+            b: Src::Imm(u32::MAX),
+            x: false,
+            cc: false,
+        }));
+        code.push(isetp(6, Gpr::new(21), CmpOp::Ne, 0));
+        code.push(Instr::guarded(
+            Guard::on(PredReg::new(6)),
+            Op::Bra {
+                target: Label::Pc(top),
+                uniform: true,
+            },
+        ));
+    }
     for (k, r) in [4u8, 8, 12].into_iter().enumerate() {
         code.push(Instr::new(Op::St {
             v: Gpr::new(r),
             width: MemWidth::B128,
-            addr: MemAddr::global(Gpr::new(18), 16 * k as i32),
+            addr: MemAddr::global(out_ptr(), 16 * k as i32),
             spill: false,
         }));
     }
@@ -290,21 +420,36 @@ fn kernel(block: &[Instr], seeds: &[u32]) -> Module {
     code.push(Instr::new(Op::St {
         v: Gpr::new(20),
         width: MemWidth::B32,
-        addr: MemAddr::global(Gpr::new(18), 48),
+        addr: MemAddr::global(out_ptr(), 48),
         spill: false,
     }));
     code.push(Instr::new(Op::Exit));
+    if shape.one_uop_runs {
+        code.push(Instr::new(Op::Atom {
+            d: Gpr::new(22),
+            op: AtomOp::Add,
+            addr: MemAddr::global(out_ptr(), 0),
+            v: Gpr::new(4),
+            v2: None,
+            wide: false,
+        }));
+    }
     let end = code.len() as u32;
     let f = LinkedFunction {
         name: "k".to_string(),
         entry: 0,
         end,
         meta: FunctionMeta {
-            reg_high_water: 21,
+            reg_high_water: 23,
             ..FunctionMeta::default()
         },
     };
-    Module::from_parts(code, vec![f], BTreeMap::new())
+    let m = Module::from_parts(code, vec![f], BTreeMap::new());
+    assert_eq!(
+        m.decoded().has_consuming_global_atomics(),
+        shape.one_uop_runs
+    );
+    m
 }
 
 fn run(module: &Module, mode: ExecMode) -> (LaunchResult, Vec<u8>) {
@@ -334,8 +479,9 @@ proptest! {
     fn random_alu_and_local_blocks_agree_across_modes(
         seeds in prop::collection::vec(any::<u32>(), 8..9),
         block in prop::collection::vec(step_strategy(), 1..24),
+        shape in shape_strategy(),
     ) {
-        let module = kernel(&block, &seeds);
+        let module = kernel(&block, &seeds, shape);
         let (res_d, out_d) = run(&module, ExecMode::Decoded);
         let (res_r, out_r) = run(&module, ExecMode::Reference);
         prop_assert_eq!(&res_d, &res_r, "launch result diverges");
@@ -344,22 +490,128 @@ proptest! {
 }
 
 /// The generator reaches what the test is for: completed and faulting
-/// launches alike.
+/// launches alike, in both shapes, with snapshots written before a
+/// fault.
 #[test]
 fn generated_blocks_cover_faults_and_completions() {
-    let (mut ok, mut fault) = (0, 0);
+    let (mut ok, mut fault, mut one_uop, mut snapshot_then_fault) = (0, 0, 0, 0);
     for case in 0..64 {
         let mut rng = TestRng::for_case(case);
         let block = prop::collection::vec(step_strategy(), 1..24).generate(&mut rng);
-        let (res, _) = run(
-            &kernel(&block, &[1, 2, 3, 4, 5, 6, 7, 8]),
+        let shape = shape_strategy().generate(&mut rng);
+        let (res, out) = run(
+            &kernel(&block, &[1, 2, 3, 4, 5, 6, 7, 8], shape),
             ExecMode::Decoded,
         );
+        one_uop += shape.one_uop_runs as u32;
         if res.is_ok() {
             ok += 1;
         } else {
             fault += 1;
+            snapshot_then_fault += out.iter().any(|&b| b != 0) as u32;
         }
     }
-    assert!(ok > 16 && fault > 0, "completed {ok}, faulted {fault}");
+    assert!(
+        ok > 16 && fault > 0 && snapshot_then_fault > 0 && one_uop > 16,
+        "completed {ok}, faulted {fault} ({snapshot_then_fault} after a snapshot), \
+         {one_uop} with one-µop runs"
+    );
+}
+
+/// Runs `block`, whose first µop snapshots `R4`, in both modes and
+/// both run shapes, and checks that they agree (fault pc, cycles and
+/// memory included), that they fault as `want` at the block's `at`-th
+/// µop, and that the snapshot reached memory.
+fn assert_fault_mid_run(block: Vec<Instr>, at: usize, want: FaultKind) {
+    for one_uop_runs in [false, true] {
+        let shape = Shape {
+            loop_from: None,
+            one_uop_runs,
+        };
+        let module = kernel(&block, &[1, 2, 3, 4, 5, 6, 7, 8], shape);
+        let (res_d, out_d) = run(&module, ExecMode::Decoded);
+        let (res_r, out_r) = run(&module, ExecMode::Reference);
+        assert_eq!(res_d, res_r, "{shape:?}: launch result diverges");
+        assert_eq!(out_d, out_r, "{shape:?}: global output diverges");
+        let KernelOutcome::Fault(info) = res_d.outcome else {
+            panic!("{shape:?}: expected a fault, got {:?}", res_d.outcome);
+        };
+        assert_eq!(info.kind, want, "{shape:?}");
+        let block_start = module.code().len() - block.len() - 6 - one_uop_runs as usize;
+        assert_eq!(info.pc as usize, block_start + at, "{shape:?}: fault pc");
+        // The snapshot before the fault reached memory: lane 3 stored
+        // its seeded R4.
+        let lane3 = 3 * LANE_OUT as usize + SNAPSHOTS as usize;
+        assert_ne!(
+            &out_d[lane3..lane3 + 4],
+            &[0; 4],
+            "{shape:?}: snapshot lost"
+        );
+    }
+}
+
+/// A uniform local store past the slab in the middle of a run, after
+/// a snapshot and an `S2R` of the clock: the decoded loop hands it to
+/// the per-lane store, whose first lane faults before any lane writes,
+/// at the same pc and cycle as the reference interpreter.
+#[test]
+fn uniform_store_past_the_slab_faults_mid_run() {
+    let r = Gpr::new;
+    let block = vec![
+        Instr::new(snapshot(4, 0)),
+        Instr::new(Op::S2R {
+            d: r(5),
+            sr: SpecialReg::ClockLo,
+        }),
+        // R1 is the slab's top: a 64-bit store at R1 - 4 runs 4 bytes
+        // past it.
+        Instr::new(Op::St {
+            v: r(6),
+            width: MemWidth::B64,
+            addr: MemAddr::local(Gpr::SP, -4),
+            spill: true,
+        }),
+        Instr::new(snapshot(5, 1)),
+        Instr::new(Op::Mov {
+            d: r(7),
+            a: Src::Imm(1),
+        }),
+    ];
+    assert_fault_mid_run(block, 2, FaultKind::StackViolation { offset: 2044 });
+}
+
+/// The load counterpart, under a half-warp guard.
+#[test]
+fn uniform_load_past_the_slab_faults_mid_run() {
+    let r = Gpr::new;
+    let block = vec![
+        Instr::new(snapshot(4, 0)),
+        Instr::new(Op::Vote {
+            mode: VoteMode::Ballot,
+            d: r(5),
+            p_out: None,
+            src: PredReg::new(0),
+            neg_src: false,
+        }),
+        Instr::guarded(
+            Guard::on(PredReg::new(0)),
+            Op::Ld {
+                d: r(8),
+                width: MemWidth::B128,
+                addr: MemAddr::local(Gpr::SP, -8),
+                spill: true,
+            },
+        ),
+        Instr::new(snapshot(5, 1)),
+    ];
+    assert_fault_mid_run(block, 2, FaultKind::StackViolation { offset: 2040 });
+}
+
+fn snapshot(v: u8, slot: i32) -> Op {
+    Op::St {
+        v: Gpr::new(v),
+        width: MemWidth::B32,
+        addr: MemAddr::global(out_ptr(), SNAPSHOTS + 4 * slot),
+        spill: false,
+    }
 }
