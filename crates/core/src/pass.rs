@@ -37,6 +37,45 @@ fn matches_after(spec: &InstrumentSpec, ins: &Instr) -> bool {
         && !ins.class().is_control_xfer()
 }
 
+/// One site `specs` match in a function: the original instruction's
+/// pc, the spec that matched (its `point` says which side of the
+/// instruction the trampoline goes) and the registers live there —
+/// live-in before the instruction, live-out after it.
+struct Matched<'a> {
+    pc: usize,
+    spec: &'a InstrumentSpec,
+    live: RegSet,
+}
+
+/// Every site `specs` match in `func`, in the order [`instrument`]
+/// emits them: by pc, an instruction's `Before` sites in spec order,
+/// then its `After` sites in spec order.
+fn sites<'a>(func: &Function, specs: &'a [InstrumentSpec]) -> Vec<Matched<'a>> {
+    let cfg = sasslive::cfg(func);
+    let lv = sasslive::liveness(func, &cfg);
+    let mut out = Vec::new();
+    for (pc, ins) in func.instrs.iter().enumerate() {
+        let before = specs
+            .iter()
+            .filter(|s| matches_before(s, ins, pc, &cfg))
+            .map(|spec| Matched {
+                pc,
+                spec,
+                live: lv.live_in[pc],
+            });
+        let after = specs
+            .iter()
+            .filter(|s| matches_after(s, ins))
+            .map(|spec| Matched {
+                pc,
+                spec,
+                live: lv.live_out[pc],
+            });
+        out.extend(before.chain(after));
+    }
+    out
+}
+
 /// Instruments `func` according to `specs`, saving registers around
 /// each handler call as `policy` says. `fn_addr` is a unique base
 /// address assigned to the function (used by handlers to form global
@@ -54,47 +93,37 @@ pub(crate) fn instrument(
     if specs.is_empty() {
         return func.clone();
     }
-    let cfg = sasslive::cfg(func);
-    let lv = sasslive::liveness(func, &cfg);
     let n = func.instrs.len();
 
     let mut out: Vec<Instr> = Vec::with_capacity(n * 4);
     let mut new_start = vec![0u32; n + 1];
     let mut instr_pos = vec![0u32; n];
+    let mut sites = sites(func, specs).into_iter().peekable();
     let mut site_id = 0u32;
+    // Emits the trampolines of instruction `pc`'s sites at `point`.
+    let mut emit_sites = |out: &mut Vec<Instr>, pc: usize, ins: &Instr, point: InstPoint| {
+        while let Some(m) = sites.next_if(|m| m.pc == pc && m.spec.point == point) {
+            let site = Site {
+                ins,
+                pc: pc as u32,
+                fn_addr,
+                site_id,
+                live: &m.live,
+                policy,
+                what: m.spec.what,
+                handler: m.spec.handler,
+            };
+            site_id += 1;
+            emit(out, &site);
+        }
+    };
 
     for (pc, ins) in func.instrs.iter().enumerate() {
         new_start[pc] = out.len() as u32;
-        for spec in specs.iter().filter(|s| matches_before(s, ins, pc, &cfg)) {
-            let site = Site {
-                ins,
-                pc: pc as u32,
-                fn_addr,
-                site_id,
-                live: &lv.live_in[pc],
-                policy,
-                what: spec.what,
-                handler: spec.handler,
-            };
-            site_id += 1;
-            emit(&mut out, &site);
-        }
+        emit_sites(&mut out, pc, ins, InstPoint::Before);
         instr_pos[pc] = out.len() as u32;
         out.push(ins.clone());
-        for spec in specs.iter().filter(|s| matches_after(s, ins)) {
-            let site = Site {
-                ins,
-                pc: pc as u32,
-                fn_addr,
-                site_id,
-                live: &lv.live_out[pc],
-                policy,
-                what: spec.what,
-                handler: spec.handler,
-            };
-            site_id += 1;
-            emit(&mut out, &site);
-        }
+        emit_sites(&mut out, pc, ins, InstPoint::After);
     }
     new_start[n] = out.len() as u32;
 
@@ -137,41 +166,19 @@ pub(crate) fn instrument(
 /// Counts the sites `specs` would instrument in `func`, without
 /// rewriting (used for overhead prediction and tests).
 pub(crate) fn count_sites(func: &Function, specs: &[InstrumentSpec]) -> usize {
-    let cfg = sasslive::cfg(func);
-    specs
-        .iter()
-        .map(|s| {
-            func.instrs
-                .iter()
-                .enumerate()
-                .filter(|&(pc, ins)| matches_before(s, ins, pc, &cfg) || matches_after(s, ins))
-                .count()
-        })
-        .sum()
+    sites(func, specs).len()
 }
 
 /// Returns the registers SASSI would save under `policy` at each
-/// matched site — exposed for the ablation study comparing
-/// liveness-driven spilling against save-everything.
+/// matched site, in instrumentation order — exposed for the ablation
+/// study comparing liveness-driven spilling against save-everything.
 pub fn planned_spills(
     func: &Function,
     specs: &[InstrumentSpec],
     policy: SpillPolicy,
 ) -> Vec<(u32, RegSet)> {
-    let cfg = sasslive::cfg(func);
-    let lv = sasslive::liveness(func, &cfg);
-    let mut outv = Vec::new();
-    for (pc, ins) in func.instrs.iter().enumerate() {
-        for spec in specs {
-            let live = if matches_before(spec, ins, pc, &cfg) {
-                &lv.live_in[pc]
-            } else if matches_after(spec, ins) {
-                &lv.live_out[pc]
-            } else {
-                continue;
-            };
-            outv.push((pc as u32, saved_gprs(live, policy)));
-        }
-    }
-    outv
+    sites(func, specs)
+        .iter()
+        .map(|m| (m.pc as u32, saved_gprs(&m.live, policy)))
+        .collect()
 }

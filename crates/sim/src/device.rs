@@ -638,9 +638,11 @@ impl Exec<'_> {
     ///
     /// The timing contract (DESIGN.md): one cycle per µop executed;
     /// intermediate dependence stalls are *not* waited out mid-run;
-    /// instead the run's final `ready_at` is the max over its µops',
-    /// so a long-latency load still delays the warp's next run while
-    /// other warps fill the gap.
+    /// instead the run's final `ready_at` is the max over its µops'
+    /// `cycle + lat.max(1)`, so a long-latency load still delays the
+    /// warp's next run while other warps fill the gap. Executors only
+    /// return a µop's latency; this is the one place `ready_at` is
+    /// written.
     ///
     /// In `Decoded` mode every warp-local µop (see [`Exec::exec_warp`])
     /// runs in [`Exec::run_warp_local`]'s loop, the run's last µop
@@ -666,25 +668,25 @@ impl Exec<'_> {
             // On a fault the warp's pc still names the faulting µop
             // and earlier µops' cycles are already charged — precise
             // resume needs no boundary at fault-capable µops.
-            if decoded {
-                self.step_decoded(wi)?;
+            let lat = if decoded {
+                self.step_decoded(wi)?
             } else {
-                self.step_reference(wi)?;
-            }
+                self.step_reference(wi)?
+            };
+            block_ready = block_ready.max(self.cycle + lat.max(1));
             self.cycle += 1;
-            let w = &self.warps[wi];
-            block_ready = block_ready.max(w.ready_at);
             // `pc + 1 == end` means the run's last µop just executed —
             // checked against the pre-step pc because a block-ending
             // branch may land anywhere (including back inside this
             // block, which starts a *new* scheduler visit). Every
             // non-ending µop advances pc by exactly one.
-            if pc + 1 >= end || w.status != WarpStatus::Ready {
+            if pc + 1 >= end || self.warps[wi].status != WarpStatus::Ready {
                 break;
             }
         }
-        let w = &mut self.warps[wi];
-        w.ready_at = block_ready.max(w.ready_at);
+        // Every run executes at least one µop, and the warp was picked
+        // with `ready_at <= cycle`, so `block_ready` is past it.
+        self.warps[wi].ready_at = block_ready;
         Ok(())
     }
 
@@ -692,7 +694,7 @@ impl Exec<'_> {
     /// warp, stats and cycle borrowed once, until the pc reaches `end`
     /// (`true`) or [`Exec::exec_warp`] declines a µop (`false`). Each
     /// µop bumps the stats and cycle as `step_decoded` does and folds
-    /// the `ready_at` `finish` would write into `block_ready`.
+    /// its `cycle + lat.max(1)` into `block_ready` as `step_block` does.
     fn run_warp_local(&mut self, wi: usize, end: u32, block_ready: &mut u64) -> bool {
         let dm: &DecodedModule = self.decoded;
         let env = WarpEnv {
@@ -806,13 +808,14 @@ impl Exec<'_> {
     /// Executes one µop that [`Exec::exec_warp`] declines, with no
     /// allocation, no `Instr` clone and no operand re-matching: control
     /// flow, `BAR`, traps, `MEMBAR`, atomics, global, shared and
-    /// generic memory, and local accesses off the row path.
+    /// generic memory, and local accesses off the row path. Returns the
+    /// µop's latency; [`Exec::step_block`] folds it into `ready_at`.
     ///
     /// Kept out of line: inlined into the scheduler loop, it cost
     /// perfbench's `native` about 8% of its runs per second on a
     /// 2-core host.
     #[inline(never)]
-    fn step_decoded(&mut self, wi: usize) -> Result<(), FaultKind> {
+    fn step_decoded(&mut self, wi: usize) -> Result<u64, FaultKind> {
         // Copying the long-lived reference out of `self` unties the
         // instruction from the `&mut self` borrow, so the borrow
         // checker permits mutating warp/stat state while `di` lives.
@@ -826,7 +829,9 @@ impl Exec<'_> {
         self.stats.thread_instrs += mask.count_ones() as u64;
         self.stats.issue.bump(di.class);
 
-        match di.uop {
+        // Control transfers set the pc themselves and return; every
+        // other arm yields its latency and falls through to `pc + 1`.
+        let lat = match di.uop {
             // ---- control flow ------------------------------------------------
             UOp::Ssy { reconv } => {
                 let w = &mut self.warps[wi];
@@ -834,20 +839,16 @@ impl Exec<'_> {
                     reconv,
                     mask: w.active,
                 });
-                w.pc += 1;
-                finish(w, self.cycle, 1);
-                return Ok(());
+                1
             }
             UOp::Bra { target } => {
-                let w = &mut self.warps[wi];
                 if di.is_guarded() {
                     self.stats.cond_branches += 1;
                 }
-                if w.branch(target, mask) {
+                if self.warps[wi].branch(target, mask) {
                     self.stats.divergent_branches += 1;
                 }
-                finish(&mut self.warps[wi], self.cycle, 2);
-                return Ok(());
+                return Ok(2);
             }
             UOp::Sync => {
                 let w = &mut self.warps[wi];
@@ -861,8 +862,7 @@ impl Exec<'_> {
                     }
                 }
                 w.sync(mask);
-                finish(&mut self.warps[wi], self.cycle, 2);
-                return Ok(());
+                return Ok(2);
             }
             UOp::Exit => {
                 let w = &mut self.warps[wi];
@@ -873,75 +873,29 @@ impl Exec<'_> {
                     }
                 }
                 w.exit_lanes(mask);
-                finish(&mut self.warps[wi], self.cycle, 1);
-                return Ok(());
+                return Ok(1);
             }
             UOp::Call { target } => {
                 let w = &mut self.warps[wi];
                 w.call_stack.push(w.pc + 1);
                 w.pc = target;
-                finish(w, self.cycle, 4);
-                return Ok(());
+                return Ok(4);
             }
-            UOp::Trap { handler, site } => {
-                self.stats.handler_calls += 1;
-                let cost = {
-                    let warp = &mut self.warps[wi];
-                    let cta = &mut self.ctas[warp.cta];
-                    let mut ctx = TrapCtx {
-                        warp,
-                        shared: &mut cta.shared,
-                        mem: self.mem,
-                        ctaid: cta.ctaid,
-                        block_dim: self.dims.block,
-                        grid_dim: self.dims.grid,
-                        sm_id: self.sm_id,
-                        cycle: self.cycle,
-                        kernel: &self.kernel.name,
-                        launch_index: self.launch_index,
-                    };
-                    self.runtime.handle(TrapRef { site, handler }, &mut ctx)
-                };
-                let cycles = cost.cycles();
-                self.stats.handler_cycles += cycles;
-                self.warps[wi].pc += 1;
-                finish(&mut self.warps[wi], self.cycle, 4 + cycles);
-                return Ok(());
-            }
+            UOp::Trap { handler, site } => self.trap(wi, TrapRef { site, handler }),
             UOp::Ret => {
                 let w = &mut self.warps[wi];
-                match w.call_stack.pop() {
-                    Some(r) => w.pc = r,
-                    None => return Err(FaultKind::CallStackUnderflow),
-                }
-                finish(&mut self.warps[wi], self.cycle, 4);
-                return Ok(());
+                w.pc = w.call_stack.pop().ok_or(FaultKind::CallStackUnderflow)?;
+                return Ok(4);
             }
             UOp::BarSync => {
-                let cta_idx = self.warps[wi].cta;
-                {
-                    let w = &mut self.warps[wi];
-                    w.pc += 1;
-                    w.status = WarpStatus::AtBarrier;
-                    w.ready_at = self.cycle + 1;
-                }
-                self.ctas[cta_idx].warps_at_barrier += 1;
-                self.maybe_release_barrier(cta_idx);
-                return Ok(());
+                self.bar_sync(wi);
+                1
             }
             UOp::Invalid(defect) => return Err(defect.fault(pc)),
 
             // ---- memory -----------------------------------------------------
-            UOp::Ld { d, width, addr } => {
-                self.mem_load(wi, mask, d, width, &addr)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
-            }
-            UOp::St { v, width, addr } => {
-                self.mem_store(wi, mask, v, width, &addr)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
-            }
+            UOp::Ld { d, width, addr } => self.mem_load(wi, mask, d, width, &addr)?,
+            UOp::St { v, width, addr } => self.mem_store(wi, mask, v, width, &addr)?,
             UOp::Atom {
                 d,
                 op,
@@ -949,21 +903,49 @@ impl Exec<'_> {
                 v,
                 v2,
                 wide,
-            } => {
-                self.mem_atomic(wi, mask, d, op, &addr, v, v2, wide)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
-            }
-            UOp::MemBar => {} // lat precomputed in the header
+            } => self.mem_atomic(wi, mask, d, op, &addr, v, v2, wide)?,
+            UOp::MemBar => di.lat as u64,
 
             // ALU, `S2R`, `VOTE` and `SHFL` need only the warp, and
             // `step_block`'s loop runs every one of them.
             _ => unreachable!("warp-local µop {:?} reached step_decoded", di.uop),
-        }
+        };
+        self.warps[wi].pc += 1;
+        Ok(lat)
+    }
+
+    /// Dispatches the trap at warp `wi`'s pc to the handler runtime,
+    /// for both interpreters. Returns the trap µop's latency: 4 cycles
+    /// plus the handler's cost.
+    fn trap(&mut self, wi: usize, trap: TrapRef) -> u64 {
+        self.stats.handler_calls += 1;
+        let warp = &mut self.warps[wi];
+        let cta = &mut self.ctas[warp.cta];
+        let mut ctx = TrapCtx {
+            warp,
+            shared: &mut cta.shared,
+            mem: self.mem,
+            ctaid: cta.ctaid,
+            block_dim: self.dims.block,
+            grid_dim: self.dims.grid,
+            sm_id: self.sm_id,
+            cycle: self.cycle,
+            kernel: &self.kernel.name,
+            launch_index: self.launch_index,
+        };
+        let cycles = self.runtime.handle(trap, &mut ctx).cycles();
+        self.stats.handler_cycles += cycles;
+        4 + cycles
+    }
+
+    /// `BAR.SYNC` for both interpreters: parks warp `wi` at its CTA's
+    /// barrier and releases the CTA if every live warp has arrived.
+    fn bar_sync(&mut self, wi: usize) {
         let w = &mut self.warps[wi];
-        w.pc += 1;
-        finish(w, self.cycle, di.lat as u64);
-        Ok(())
+        w.status = WarpStatus::AtBarrier;
+        let cta = w.cta;
+        self.ctas[cta].warps_at_barrier += 1;
+        self.maybe_release_barrier(cta);
     }
 
     /// The decoded executor of the warp-local µops, which need only the
@@ -1327,8 +1309,8 @@ impl Exec<'_> {
     /// `LD` in the decoded interpreter, for the loads `exec_warp`
     /// declines, dispatched once on the static address space. A
     /// static-`Global` load whose lanes fall in one allocation is
-    /// checked once (see [`Exec::global_load`]); every other `Global`,
-    /// `Local` or `Generic` load runs [`Exec::mem_load_lanes`].
+    /// checked once (see [`Exec::global_load`]); every other load runs
+    /// [`Exec::mem_load_lanes`]. Returns the load's latency.
     fn mem_load(
         &mut self,
         wi: usize,
@@ -1336,39 +1318,14 @@ impl Exec<'_> {
         d: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-    ) -> Result<(), FaultKind> {
-        let bytes = width.bytes();
-        match addr.space {
-            AddrSpace::Shared => {
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let mut buf = [0u8; 16];
-                    {
-                        let w = &self.warps[wi];
-                        let a = w.reg(lane, addr.base).wrapping_add(addr.offset as u32) as u64;
-                        let off = a as usize;
-                        let shared = &self.ctas[w.cta].shared;
-                        if off + bytes as usize > shared.len() {
-                            return Err(FaultKind::SharedViolation { offset: a });
-                        }
-                        buf[..bytes as usize].copy_from_slice(&shared[off..off + bytes as usize]);
-                    }
-                    write_load_result(&mut self.warps[wi], lane, d, width, &buf);
-                }
-                let lat = self.mem_latency(&[], bytes, false, false, mask != 0);
-                finish(&mut self.warps[wi], self.cycle, lat);
-                Ok(())
-            }
-            AddrSpace::Global => match bytes {
-                1 => self.global_load::<1>(wi, mask, d, width, addr),
-                2 => self.global_load::<2>(wi, mask, d, width, addr),
-                4 => self.global_load::<4>(wi, mask, d, width, addr),
-                8 => self.global_load::<8>(wi, mask, d, width, addr),
-                _ => self.global_load::<16>(wi, mask, d, width, addr),
-            },
-            AddrSpace::Local | AddrSpace::Generic => self.mem_load_lanes(wi, mask, d, width, addr),
+    ) -> Result<u64, FaultKind> {
+        match (addr.space, width.bytes()) {
+            (AddrSpace::Global, 1) => self.global_load::<1>(wi, mask, d, width, addr),
+            (AddrSpace::Global, 2) => self.global_load::<2>(wi, mask, d, width, addr),
+            (AddrSpace::Global, 4) => self.global_load::<4>(wi, mask, d, width, addr),
+            (AddrSpace::Global, 8) => self.global_load::<8>(wi, mask, d, width, addr),
+            (AddrSpace::Global, _) => self.global_load::<16>(wi, mask, d, width, addr),
+            _ => self.mem_load_lanes(wi, mask, d, width, addr),
         }
     }
 
@@ -1384,7 +1341,7 @@ impl Exec<'_> {
         d: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-    ) -> Result<(), FaultKind> {
+    ) -> Result<u64, FaultKind> {
         let (addrs, n, span) = global_addrs(&self.warps[wi], mask, addr, N as u64);
         let Some((lo, window)) = span.and_then(|(lo, len)| Some((lo, self.mem.window(lo, len)?)))
         else {
@@ -1397,15 +1354,13 @@ impl Exec<'_> {
             buf[..N].copy_from_slice(&window[o..o + N]);
             write_load_result(w, lane, d, width, &buf);
         }
-        let lat = self.mem_latency(&addrs[..n], N as u32, false, false, false);
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+        Ok(self.mem_latency(&addrs[..n], N as u32, false, false, false))
     }
 
     /// `LD`, one lane at a time, in any address space: the reference
-    /// interpreter's load, and the decoded one's for `Generic`
-    /// addresses, local loads off the row path and global loads off
-    /// the window path.
+    /// interpreter's load, and the decoded one's for `Shared` and
+    /// `Generic` addresses, local loads off the row path and global
+    /// loads off the window path. Returns the load's latency.
     pub(super) fn mem_load_lanes(
         &mut self,
         wi: usize,
@@ -1413,7 +1368,7 @@ impl Exec<'_> {
         d: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-    ) -> Result<(), FaultKind> {
+    ) -> Result<u64, FaultKind> {
         let bytes = width.bytes();
         // Lane addresses are collected in lane order into a fixed
         // array: the coalescer is order-sensitive and the hot loop
@@ -1453,15 +1408,13 @@ impl Exec<'_> {
             }
             write_load_result(&mut self.warps[wi], lane, d, width, &buf);
         }
-        let lat = self.mem_latency(
+        Ok(self.mem_latency(
             &global_addrs[..n_global],
             bytes,
             false,
             has_local,
             has_shared,
-        );
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+        ))
     }
 
     /// `ST` in the decoded interpreter, for the stores `exec_warp`
@@ -1473,37 +1426,14 @@ impl Exec<'_> {
         v: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-    ) -> Result<(), FaultKind> {
-        let bytes = width.bytes();
-        match addr.space {
-            AddrSpace::Shared => {
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let mut buf = [0u8; 16];
-                    let w = &self.warps[wi];
-                    store_source_bytes(w, lane, v, width, bytes, &mut buf);
-                    let a = w.reg(lane, addr.base).wrapping_add(addr.offset as u32) as u64;
-                    let off = a as usize;
-                    let shared = &mut self.ctas[w.cta].shared;
-                    if off + bytes as usize > shared.len() {
-                        return Err(FaultKind::SharedViolation { offset: a });
-                    }
-                    shared[off..off + bytes as usize].copy_from_slice(&buf[..bytes as usize]);
-                }
-                let lat = self.mem_latency(&[], bytes, true, false, mask != 0);
-                finish(&mut self.warps[wi], self.cycle, lat);
-                Ok(())
-            }
-            AddrSpace::Global => match bytes {
-                1 => self.global_store::<1>(wi, mask, v, width, addr),
-                2 => self.global_store::<2>(wi, mask, v, width, addr),
-                4 => self.global_store::<4>(wi, mask, v, width, addr),
-                8 => self.global_store::<8>(wi, mask, v, width, addr),
-                _ => self.global_store::<16>(wi, mask, v, width, addr),
-            },
-            AddrSpace::Local | AddrSpace::Generic => self.mem_store_lanes(wi, mask, v, width, addr),
+    ) -> Result<u64, FaultKind> {
+        match (addr.space, width.bytes()) {
+            (AddrSpace::Global, 1) => self.global_store::<1>(wi, mask, v, width, addr),
+            (AddrSpace::Global, 2) => self.global_store::<2>(wi, mask, v, width, addr),
+            (AddrSpace::Global, 4) => self.global_store::<4>(wi, mask, v, width, addr),
+            (AddrSpace::Global, 8) => self.global_store::<8>(wi, mask, v, width, addr),
+            (AddrSpace::Global, _) => self.global_store::<16>(wi, mask, v, width, addr),
+            _ => self.mem_store_lanes(wi, mask, v, width, addr),
         }
     }
 
@@ -1517,7 +1447,7 @@ impl Exec<'_> {
         v: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-    ) -> Result<(), FaultKind> {
+    ) -> Result<u64, FaultKind> {
         let (addrs, n, span) = global_addrs(&self.warps[wi], mask, addr, N as u64);
         let Some(mut window) = span.and_then(|(lo, len)| self.mem.window_mut(lo, len)) else {
             return self.mem_store_lanes(wi, mask, v, width, addr);
@@ -1528,15 +1458,13 @@ impl Exec<'_> {
             store_source_bytes(w, lane, v, width, N as u32, &mut buf);
             window.write(a, &buf[..N]);
         }
-        let lat = self.mem_latency(&addrs[..n], N as u32, true, false, false);
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+        Ok(self.mem_latency(&addrs[..n], N as u32, true, false, false))
     }
 
     /// `ST`, one lane at a time, in any address space: the reference
-    /// interpreter's store, and the decoded one's for `Generic`
-    /// addresses, local stores off the row path and global stores off
-    /// the window path.
+    /// interpreter's store, and the decoded one's for `Shared` and
+    /// `Generic` addresses, local stores off the row path and global
+    /// stores off the window path. Returns the store's latency.
     pub(super) fn mem_store_lanes(
         &mut self,
         wi: usize,
@@ -1544,7 +1472,7 @@ impl Exec<'_> {
         v: Gpr,
         width: MemWidth,
         addr: &MemAddr,
-    ) -> Result<(), FaultKind> {
+    ) -> Result<u64, FaultKind> {
         let bytes = width.bytes();
         let mut global_addrs = [0u64; 32];
         let mut n_global = 0usize;
@@ -1582,15 +1510,13 @@ impl Exec<'_> {
                 }
             }
         }
-        let lat = self.mem_latency(
+        Ok(self.mem_latency(
             &global_addrs[..n_global],
             bytes,
             true,
             has_local,
             has_shared,
-        );
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+        ))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1604,7 +1530,7 @@ impl Exec<'_> {
         v: Gpr,
         v2: Option<Gpr>,
         wide: bool,
-    ) -> Result<(), FaultKind> {
+    ) -> Result<u64, FaultKind> {
         let mut global_addrs = [0u64; 32];
         let mut n_global = 0usize;
         let mut m = mask;
@@ -1674,11 +1600,8 @@ impl Exec<'_> {
             }
         }
         let width = if wide { 8 } else { 4 };
-        let mut lat =
-            self.mem_latency(&global_addrs[..n_global], width, true, false, n_global == 0);
-        lat += 16; // read-modify-write turnaround
-        finish(&mut self.warps[wi], self.cycle, lat);
-        Ok(())
+        let lat = self.mem_latency(&global_addrs[..n_global], width, true, false, n_global == 0);
+        Ok(lat + 16) // read-modify-write turnaround
     }
 
     fn mem_latency(
@@ -1710,10 +1633,6 @@ enum Pick {
     Warp(usize),
     Stalled(u64),
     Empty,
-}
-
-fn finish(w: &mut Warp, cycle: u64, lat: u64) {
-    w.ready_at = cycle + lat.max(1);
 }
 
 /// Reads 4 bytes of a bank-0 constant image (out-of-image reads

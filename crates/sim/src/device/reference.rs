@@ -44,8 +44,8 @@ impl Exec<'_> {
     }
 
     /// Executes one instruction of warp `wi` from the `Instr` array.
-    /// Returns a fault kind on abort.
-    pub(super) fn step_reference(&mut self, wi: usize) -> Result<(), FaultKind> {
+    /// Returns its latency, or a fault kind on abort.
+    pub(super) fn step_reference(&mut self, wi: usize) -> Result<u64, FaultKind> {
         // Copying the long-lived reference out of `self` unties the
         // instruction from the `&mut self` borrow.
         let module: &Module = self.module;
@@ -58,8 +58,9 @@ impl Exec<'_> {
         self.stats.thread_instrs += mask.count_ones() as u64;
         self.stats.issue.bump(IssueClass::of(&ins.class()));
 
-        let mut lat: u64 = 2; // default ALU dependence latency
-        match &ins.op {
+        // Control transfers set the pc themselves and return; every
+        // other arm yields its latency and falls through to `pc + 1`.
+        let lat = match &ins.op {
             // ---- control flow ------------------------------------------------
             Op::Ssy { target } => {
                 let t = target_pc(target)?;
@@ -68,9 +69,7 @@ impl Exec<'_> {
                     reconv: t,
                     mask: w.active,
                 });
-                w.pc += 1;
-                finish(&mut self.warps[wi], self.cycle, 1);
-                return Ok(());
+                1
             }
             Op::Bra { target, .. } => {
                 let t = target_pc(target)?;
@@ -84,8 +83,7 @@ impl Exec<'_> {
                 if w.branch(t, mask) {
                     self.stats.divergent_branches += 1;
                 }
-                finish(&mut self.warps[wi], self.cycle, 2);
-                return Ok(());
+                return Ok(2);
             }
             Op::Sync => {
                 let w = &mut self.warps[wi];
@@ -99,8 +97,7 @@ impl Exec<'_> {
                     }
                 }
                 w.sync(mask);
-                finish(&mut self.warps[wi], self.cycle, 2);
-                return Ok(());
+                return Ok(2);
             }
             Op::Exit => {
                 let w = &mut self.warps[wi];
@@ -111,84 +108,40 @@ impl Exec<'_> {
                     }
                 }
                 w.exit_lanes(mask);
-                finish(&mut self.warps[wi], self.cycle, 1);
-                return Ok(());
+                return Ok(1);
             }
-            Op::Jcal { target } => {
-                match target {
-                    Label::Pc(t) => {
-                        let w = &mut self.warps[wi];
-                        w.call_stack.push(w.pc + 1);
-                        w.pc = *t;
-                        lat = 4;
-                    }
-                    Label::Handler(id) => {
-                        let id = *id;
-                        self.stats.handler_calls += 1;
-                        // The decoded µop carries its site index; here
-                        // we look it up from the (shared) site table.
-                        let site = self.decoded.site_at(pc).unwrap_or(u32::MAX);
-                        let cost = {
-                            let warp = &mut self.warps[wi];
-                            let cta = &mut self.ctas[warp.cta];
-                            let mut ctx = TrapCtx {
-                                warp,
-                                shared: &mut cta.shared,
-                                mem: self.mem,
-                                ctaid: cta.ctaid,
-                                block_dim: self.dims.block,
-                                grid_dim: self.dims.grid,
-                                sm_id: self.sm_id,
-                                cycle: self.cycle,
-                                kernel: &self.kernel.name,
-                                launch_index: self.launch_index,
-                            };
-                            self.runtime
-                                .handle(crate::trap::TrapRef { site, handler: id }, &mut ctx)
-                        };
-                        let cycles = cost.cycles();
-                        self.stats.handler_cycles += cycles;
-                        self.warps[wi].pc += 1;
-                        lat = 4 + cycles;
-                    }
-                    Label::Func(_) => return Err(FaultKind::InvalidPc { pc: pc as u64 }),
-                }
-                finish(&mut self.warps[wi], self.cycle, lat);
-                return Ok(());
+            Op::Jcal {
+                target: Label::Pc(t),
+            } => {
+                let w = &mut self.warps[wi];
+                w.call_stack.push(w.pc + 1);
+                w.pc = *t;
+                return Ok(4);
             }
+            Op::Jcal {
+                target: Label::Handler(id),
+            } => {
+                // The decoded µop carries its site index; here we look
+                // it up from the (shared) site table.
+                let site = self.decoded.site_at(pc).unwrap_or(u32::MAX);
+                self.trap(wi, TrapRef { site, handler: *id })
+            }
+            Op::Jcal { .. } => return Err(FaultKind::InvalidPc { pc: pc as u64 }),
             Op::Ret => {
                 let w = &mut self.warps[wi];
-                match w.call_stack.pop() {
-                    Some(r) => w.pc = r,
-                    None => return Err(FaultKind::CallStackUnderflow),
-                }
-                finish(&mut self.warps[wi], self.cycle, 4);
-                return Ok(());
+                w.pc = w.call_stack.pop().ok_or(FaultKind::CallStackUnderflow)?;
+                return Ok(4);
             }
             Op::BarSync => {
-                let cta_idx = self.warps[wi].cta;
-                {
-                    let w = &mut self.warps[wi];
-                    w.pc += 1;
-                    w.status = WarpStatus::AtBarrier;
-                    w.ready_at = self.cycle + 1;
-                }
-                self.ctas[cta_idx].warps_at_barrier += 1;
-                self.maybe_release_barrier(cta_idx);
-                return Ok(());
+                self.bar_sync(wi);
+                1
             }
 
             // ---- memory -----------------------------------------------------
             Op::Ld { d, width, addr, .. } | Op::Tld { d, width, addr } => {
-                self.mem_load_lanes(wi, mask, *d, *width, addr)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
+                self.mem_load_lanes(wi, mask, *d, *width, addr)?
             }
-            Op::St { v, width, addr, .. } => {
-                self.mem_store_lanes(wi, mask, *v, *width, addr)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
-            }
+            Op::St { v, width, addr, .. } => self.mem_store_lanes(wi, mask, *v, *width, addr)?,
             Op::Atom {
                 d,
                 op,
@@ -196,17 +149,11 @@ impl Exec<'_> {
                 v,
                 v2,
                 wide,
-            } => {
-                self.mem_atomic(wi, mask, Some(*d), *op, addr, *v, *v2, *wide)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
-            }
+            } => self.mem_atomic(wi, mask, Some(*d), *op, addr, *v, *v2, *wide)?,
             Op::Red { op, addr, v, wide } => {
-                self.mem_atomic(wi, mask, None, *op, addr, *v, None, *wide)?;
-                self.warps[wi].pc += 1;
-                return Ok(());
+                self.mem_atomic(wi, mask, None, *op, addr, *v, None, *wide)?
             }
-            Op::MemBar => lat = 8,
+            Op::MemBar => 8,
 
             // ---- warp-wide ---------------------------------------------------
             Op::Vote {
@@ -245,6 +192,7 @@ impl Exec<'_> {
                         }
                     }
                 }
+                2
             }
             Op::Shfl {
                 mode,
@@ -282,18 +230,17 @@ impl Exec<'_> {
                         w.set_pred(lane, *p, in_range);
                     }
                 }
+                2
             }
 
             // ---- per-lane ALU -------------------------------------------------
             _ => {
                 self.alu_reference(wi, ins, mask);
-                lat = alu_latency(&ins.op);
+                alu_latency(&ins.op)
             }
-        }
-        let w = &mut self.warps[wi];
-        w.pc += 1;
-        finish(w, self.cycle, lat);
-        Ok(())
+        };
+        self.warps[wi].pc += 1;
+        Ok(lat)
     }
 
     /// Per-lane ALU execution for all remaining opcodes.

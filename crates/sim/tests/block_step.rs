@@ -10,7 +10,8 @@
 //!    the same `LaunchResult` (cycles included), memory and precise
 //!    faults as the reference interpreter under the same scheduler.
 //! 3. **Timing contract** — a run does not wait on dependences inside
-//!    it (DESIGN.md, "Timing contract").
+//!    it, and each SM-side µop is charged a pinned latency (DESIGN.md,
+//!    "Timing contract").
 
 use proptest::prelude::*;
 use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
@@ -398,5 +399,175 @@ fn runs_do_not_wait_on_intra_block_dependences() {
             "{mode:?}: a dependent µop inside a run must not stall"
         );
         assert_eq!(cycles[0], 6, "{mode:?}: one cycle per µop");
+    }
+}
+
+/// A handler runtime whose every trap costs a fixed 50 instructions
+/// (100 cycles).
+struct FixedCost;
+
+impl sassi_sim::HandlerRuntime for FixedCost {
+    fn handle(
+        &mut self,
+        _trap: sassi_sim::TrapRef,
+        _ctx: &mut sassi_sim::TrapCtx<'_>,
+    ) -> sassi_sim::HandlerCost {
+        sassi_sim::HandlerCost {
+            instructions: 50,
+            ..sassi_sim::HandlerCost::FREE
+        }
+    }
+}
+
+/// Each µop that leaves the decoded run loop for the SM — shared,
+/// global (on and off the window path), atomic, barrier, fence,
+/// call/return and trap — is charged its latency in absolute cycles.
+/// Both interpreters fold latencies in the one run loop, so the
+/// differential tests cannot see a latency lost on both paths; these
+/// figures can.
+///
+/// Every kernel is one warp: a prologue points `R2:R3` at the first
+/// buffer plus `lane << shift` and sets `R5 = lane << shift`, then the
+/// µop under test ends its run (or is the last µop before the `BRA`
+/// that closes it), so the warp's next run waits out its latency and
+/// the launch's cycles are that µop's issue cycle plus its latency
+/// plus the closing µops.
+#[test]
+fn sm_side_uop_latencies_in_cycles() {
+    use sassi_isa::{AtomOp, CBankAddr, Gpr, MemAddr, MemWidth, SpecialReg, Src};
+    let r = Gpr::new;
+    let kernel = |shift: u8, under_test: Vec<Op>| {
+        let mut ops = vec![
+            Op::Mov {
+                d: r(2),
+                a: Src::Const(CBankAddr::new(0, 0x140)),
+            },
+            Op::Mov {
+                d: r(3),
+                a: Src::Const(CBankAddr::new(0, 0x144)),
+            },
+            Op::S2R {
+                d: r(0),
+                sr: SpecialReg::LaneId,
+            },
+            Op::IScAdd {
+                d: r(5),
+                a: r(0),
+                b: Src::Imm(0),
+                shift,
+            },
+            Op::IAdd {
+                d: r(2),
+                a: r(2),
+                b: Src::Reg(r(5)),
+                x: false,
+                cc: false,
+            },
+        ];
+        ops.extend(under_test);
+        let close = ops.len() as u32 + 1;
+        ops.push(Op::Bra {
+            target: Label::Pc(close),
+            uniform: true,
+        });
+        ops.push(Op::Exit);
+        let code: Vec<Instr> = ops.into_iter().map(Instr::new).collect();
+        let end = code.len() as u32;
+        let f = LinkedFunction {
+            name: "k".to_string(),
+            entry: 0,
+            end,
+            meta: FunctionMeta {
+                reg_high_water: 8,
+                shared_bytes: 128,
+                uses_barrier: true,
+                ..FunctionMeta::default()
+            },
+        };
+        Module::from_parts(code, vec![f], BTreeMap::new())
+    };
+    let (shared, global) = (MemAddr::shared(r(5), 0), MemAddr::global(r(2), 0));
+    let ld = |addr| Op::Ld {
+        d: r(4),
+        width: MemWidth::B32,
+        addr,
+        spill: false,
+    };
+    let st = |addr| Op::St {
+        v: r(0),
+        width: MemWidth::B32,
+        addr,
+        spill: false,
+    };
+    // The live destination makes this a consuming atomic, so every run
+    // is one µop and the prologue's latencies are waited out too.
+    let atom = Op::Atom {
+        d: r(4),
+        op: AtomOp::Add,
+        addr: global,
+        v: r(0),
+        v2: None,
+        wide: false,
+    };
+    let red = Op::Red {
+        op: AtomOp::Add,
+        addr: global,
+        v: r(0),
+        wide: false,
+    };
+    // `CALL 8; BRA 7; EXIT; RET`: the callee returns to the `BRA`.
+    let call_ret = vec![
+        Op::Jcal {
+            target: Label::Pc(8),
+        },
+        Op::Bra {
+            target: Label::Pc(7),
+            uniform: true,
+        },
+        Op::Exit,
+        Op::Ret,
+    ];
+    let trap = Op::Jcal {
+        target: Label::Handler(0),
+    };
+    // (µop, prologue shift, µops under test, cycles). Stride 4 keeps
+    // every lane inside the first 128-byte buffer; with stride 8 lanes
+    // 16..32 read the second, so no one allocation spans the warp and
+    // each lane is checked alone.
+    let cases = [
+        ("shared LD", 2, vec![ld(shared)], 30),
+        ("shared ST", 2, vec![st(shared)], 30),
+        ("global LD, window", 2, vec![ld(global)], 422),
+        ("global LD, per lane", 3, vec![ld(global)], 430),
+        ("ATOM", 2, vec![atom], 445),
+        ("RED", 2, vec![red], 438),
+        ("BAR.SYNC", 2, vec![Op::BarSync], 9),
+        ("MEMBAR", 2, vec![Op::MemBar], 14),
+        ("CALL/RET", 2, call_ret, 16),
+        ("trap", 2, vec![trap], 110),
+    ];
+    for (name, shift, under_test, want) in cases {
+        let module = kernel(shift, under_test);
+        let mut per_mode = Vec::new();
+        for mode in [ExecMode::Decoded, ExecMode::Reference] {
+            let mut dev = Device::with_defaults();
+            dev.exec_mode = mode;
+            let a = dev.mem.alloc(128, 8).unwrap();
+            dev.mem.alloc(128, 8).unwrap();
+            let res = dev
+                .launch(
+                    &module,
+                    "k",
+                    LaunchDims::linear(1, 32),
+                    &[a],
+                    &mut FixedCost,
+                    0,
+                    1 << 20,
+                )
+                .unwrap();
+            assert!(res.is_ok(), "{name} ({mode:?}): {:?}", res.outcome);
+            per_mode.push(res.stats.cycles);
+        }
+        assert_eq!(per_mode, [want; 2], "{name}: (Decoded, Reference) cycles");
     }
 }
