@@ -16,6 +16,9 @@
 //! one-instruction kernel, calling a no-op handler), and
 //! `trampoline_half_mask` the same with half the warp exited, as
 //! instrumented apps run it with partly active warps.
+//! `trampoline_regs_full_mask` and `trampoline_regs_half_mask` run the
+//! trampoline an error-injection campaign inserts after each candidate
+//! instead, whose register and parameter stores are most of its µops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
@@ -333,10 +336,61 @@ fn trampoline_body() -> (Vec<Instr>, Sassi) {
     (body, sassi)
 }
 
+/// The trampoline an error-injection campaign inserts after each
+/// candidate (an `After` site under a register-write filter, with
+/// `REGISTERS` info) around `IADD R2, R2, 0x1`, with R2..R5 and R8..R11
+/// live after it: eight spills and fills, the destination value, the
+/// register-parameter and before-parameter `MOV32I`/`STL` pairs, the
+/// handler call, then the instruction. The live set comes from two
+/// instructions after the site, an `ISETP` and a `STG.128`, which are
+/// cut from the body (neither writes a GPR, so neither is a site). The
+/// handler runs under the returned `Sassi`.
+fn trampoline_regs_body() -> (Vec<Instr>, Sassi) {
+    let r = Gpr::new;
+    let tail = [
+        Instr::new(Op::ISetP {
+            p: PredReg::new(2),
+            cmp: CmpOp::Lt,
+            a: r(2),
+            b: Src::Reg(r(3)),
+            signed: false,
+            combine: None,
+        }),
+        Instr::new(Op::St {
+            v: r(8),
+            width: MemWidth::B128,
+            addr: MemAddr::global(r(4), 0),
+            spill: false,
+        }),
+    ];
+    let mut code = vec![Instr::new(Op::IAdd {
+        d: r(2),
+        a: r(2),
+        b: Src::Imm(1),
+        x: false,
+        cc: false,
+    })];
+    code.extend(tail.clone());
+    let site = Function::new("site", code, FunctionMeta::default());
+    let mut sassi = Sassi::new();
+    sassi.on_after(
+        SiteFilter::REG_WRITES,
+        InfoFlags::REGISTERS,
+        Box::new(FnHandler::free(|_| {})),
+    );
+    let mut body = sassi.apply(&site, 0).instrs;
+    let cut = body.split_off(body.len() - tail.len());
+    assert_eq!(cut, tail, "the tail is instrumented");
+    assert!(body.len() > 40, "no injection trampoline: {body:?}");
+    (body, sassi)
+}
+
 fn bench_interp(c: &mut Criterion) {
     let (tramp_full, mut sassi_full) = trampoline_body();
     let (tramp_half, mut sassi_half) = trampoline_body();
-    let cases: [(&str, Module, &mut dyn HandlerRuntime); 5] = [
+    let (regs_full, mut sassi_regs_full) = trampoline_regs_body();
+    let (regs_half, mut sassi_regs_half) = trampoline_regs_body();
+    let cases: [(&str, Module, &mut dyn HandlerRuntime); 7] = [
         (
             "alu_full_mask",
             interp_kernel(alu_body(Guard::ALWAYS), false),
@@ -361,6 +415,16 @@ fn bench_interp(c: &mut Criterion) {
             "trampoline_half_mask",
             interp_kernel(tramp_half, true),
             &mut sassi_half,
+        ),
+        (
+            "trampoline_regs_full_mask",
+            interp_kernel(regs_full, false),
+            &mut sassi_regs_full,
+        ),
+        (
+            "trampoline_regs_half_mask",
+            interp_kernel(regs_half, true),
+            &mut sassi_regs_half,
         ),
     ];
     let dims = LaunchDims::linear(1, 256);

@@ -22,6 +22,9 @@
 //!   guard, so unguarded instructions skip per-lane predicate reads;
 //! * the ALU dependence latency and the [`IssueClass`] are
 //!   precomputed into header bytes;
+//! * maximal runs of local spills, fills and constant stores off one
+//!   base register are marked as *local spans* ([`DecodedInstr::span`]),
+//!   which the run loop may execute as one step;
 //! * instrumentation trap sites (`JCAL handlerN`) are recorded in a
 //!   per-module site table sorted by pc, so SASSI's *selective
 //!   instrumentation* property — uninstrumented instructions pay
@@ -33,6 +36,7 @@
 //! solely for traps, disassembly and error reporting.
 
 use crate::stats::{FaultKind, IssueClass};
+use crate::warp::group_reg;
 use sassi_isa::{
     AddrSpace, AtomOp, CmpOp, Gpr, Instr, Label, LogicOp, MemAddr, MemWidth, MufuFunc, Op, PredReg,
     RegSet, ShflMode, SpecialReg, Src, VoteMode,
@@ -350,6 +354,14 @@ pub struct DecodedInstr {
     pub lat: u8,
     /// Issue class for the per-class counters in `LaunchStats`.
     pub class: IssueClass,
+    /// How many µops, this one included, remain of the local span this
+    /// µop belongs to, or 0 if it belongs to none. A local span is a
+    /// maximal run, under one guard and off one base register, of
+    /// 32-, 64- or 128-bit local loads, or of such local stores and
+    /// immediate moves, at 4-aligned offsets: a trampoline's spills,
+    /// fills and parameter stores. The decoded run loop may run a span
+    /// as one step.
+    pub span: u8,
     /// The operation.
     pub uop: UOp,
 }
@@ -407,6 +419,108 @@ impl BasicBlock {
     }
 }
 
+/// What the µops of a local span from one pc on need checked before
+/// they run as one step: the base register they all address through,
+/// whether they store, and the byte range `[lo, hi)` their accesses
+/// cover relative to that register's value. Only the decoded run loop
+/// reads it, and only at a pc whose [`DecodedInstr::span`] is at least
+/// 2.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LocalSpan {
+    pub(crate) base: Gpr,
+    pub(crate) store: bool,
+    pub(crate) lo: i32,
+    pub(crate) hi: i32,
+}
+
+/// The longest span one [`DecodedInstr::span`] byte records; a longer
+/// run is split.
+const MAX_SPAN: u8 = u8::MAX;
+
+/// How a µop may join a local span: as a row-path-shaped local access
+/// (see [`build_spans`]), or as an immediate move into `d`.
+enum SpanMember {
+    Access(LocalSpan),
+    Imm(Gpr),
+    None,
+}
+
+fn span_member(di: &DecodedInstr) -> SpanMember {
+    let access = |store: bool, width: MemWidth, addr: MemAddr| {
+        let words = match width {
+            MemWidth::B32 | MemWidth::B64 | MemWidth::B128 => width.regs() as i32,
+            _ => return SpanMember::None,
+        };
+        let hi = addr.offset.checked_add(4 * words);
+        match hi {
+            Some(hi) if addr.space == AddrSpace::Local && addr.offset % 4 == 0 => {
+                SpanMember::Access(LocalSpan {
+                    base: addr.base,
+                    store,
+                    lo: addr.offset,
+                    hi,
+                })
+            }
+            _ => SpanMember::None,
+        }
+    };
+    match di.uop {
+        UOp::St { width, addr, .. } => access(true, width, addr),
+        // A load that writes its own base register would move the
+        // span's addresses under it: it never joins one.
+        UOp::Ld { d, width, addr } if !(0..width.regs()).any(|k| group_reg(d, k) == addr.base) => {
+            access(false, width, addr)
+        }
+        UOp::Mov { d, a: DSrc::Imm(_) } => SpanMember::Imm(d),
+        _ => SpanMember::None,
+    }
+}
+
+/// Marks every maximal run of row-path-shaped local accesses that
+/// share one direction, one base register and one guard, and returns
+/// each pc's [`LocalSpan`]. A row-path-shaped access is a 32-, 64- or
+/// 128-bit `Local` load or store at a 4-aligned static offset; a store
+/// run also takes in `Mov`s of an immediate into any register but the
+/// base (the constant half of a trampoline's `MOV32I`/`STL` pair). No
+/// µop of a run writes its base or a predicate, so the base row and
+/// the guard mask hold across the run. Anything else, a trap, a
+/// branch or a write to the base included, ends the run. The scan runs
+/// backwards so that each pc records the length and byte range of the
+/// run from that pc on: a branch into the middle of a run runs the
+/// suffix.
+fn build_spans(code: &mut [DecodedInstr]) -> Vec<LocalSpan> {
+    let none = LocalSpan {
+        base: Gpr::RZ,
+        store: false,
+        lo: 0,
+        hi: 0,
+    };
+    let mut spans = vec![none; code.len()];
+    for pc in (0..code.len()).rev() {
+        let guard = code[pc].guard;
+        let next = code
+            .get(pc + 1)
+            .filter(|n| n.span != 0 && n.span < MAX_SPAN && n.guard == guard)
+            .map(|n| (n.span, spans[pc + 1]));
+        let (len, span) = match (span_member(&code[pc]), next) {
+            (SpanMember::Access(a), Some((len, s))) if a.base == s.base && a.store == s.store => (
+                len + 1,
+                LocalSpan {
+                    lo: a.lo.min(s.lo),
+                    hi: a.hi.max(s.hi),
+                    ..a
+                },
+            ),
+            (SpanMember::Access(a), _) => (1, a),
+            (SpanMember::Imm(d), Some((len, s))) if s.store && d != s.base => (len + 1, s),
+            _ => continue,
+        };
+        code[pc].span = len;
+        spans[pc] = span;
+    }
+    spans
+}
+
 /// Whether `uop` ends a basic block: any control transfer (`BRA`,
 /// `SSY`, `SYNC`, `EXIT`, `JCAL` to a *function*, `RET`), the CTA
 /// barrier (`BAR.SYNC`, which can suspend the warp), or a decode-time
@@ -447,6 +561,9 @@ pub struct DecodedModule {
     consuming_global_atomics: bool,
     /// One past the highest GPR any instruction names.
     regs_used: u32,
+    /// Each pc's local span (see [`build_spans`]); meaningful where
+    /// `code[pc].span != 0`.
+    spans: Vec<LocalSpan>,
 }
 
 impl DecodedModule {
@@ -480,6 +597,7 @@ impl DecodedModule {
             code.push(di);
         }
         let (blocks, block_idx) = build_blocks(&code);
+        let spans = build_spans(&mut code);
         DecodedModule {
             code,
             sites,
@@ -487,7 +605,16 @@ impl DecodedModule {
             block_idx,
             consuming_global_atomics,
             regs_used: named.max_gpr().map_or(0, |r| r.index() as u32 + 1),
+            spans,
         }
+    }
+
+    /// The local span from `pc` on and its first `n` µops, for a `pc`
+    /// whose [`DecodedInstr::span`] is at least `n`.
+    #[inline(always)]
+    pub(crate) fn local_span(&self, pc: u32, n: u32) -> (&LocalSpan, &[DecodedInstr]) {
+        let pc = pc as usize;
+        (&self.spans[pc], &self.code[pc..pc + n as usize])
     }
 
     /// How many registers per thread the code needs: one past the
@@ -896,6 +1023,7 @@ fn decode_instr(ins: &Instr, code_len: u32) -> DecodedInstr {
         guard: encode_guard(ins),
         lat,
         class: IssueClass::of(&ins.class()),
+        span: 0,
         uop,
     }
 }
@@ -1094,6 +1222,186 @@ mod tests {
         }));
         assert!(!is_block_boundary(&UOp::MemBar));
         assert!(!is_block_boundary(&UOp::Nop));
+    }
+
+    /// The µop at `pc` and the length of the local span from it.
+    fn span_of(d: &DecodedModule, pc: usize) -> (UOp, u8) {
+        let di = d.get(pc as u32).unwrap();
+        (di.uop, di.span)
+    }
+
+    /// The trampoline SASSI inserts after an injection candidate (an
+    /// `After` site under a `REG_WRITES` filter, with `REGISTERS`
+    /// info), decoded: its spills, the destination value it records and
+    /// the register-parameter `MOV32I`/`STL` pairs form one span; the
+    /// carry-flag save and the six before-parameter pairs another; the
+    /// fills a third. No span holds a trap, a branch or a stack-pointer
+    /// update.
+    #[test]
+    fn injection_trampoline_spans() {
+        use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
+        use sassi_isa::{Function, FunctionMeta};
+        let r = Gpr::new;
+        let iadd = |d, a, b| {
+            Instr::new(Op::IAdd {
+                d,
+                a,
+                b: Src::Reg(b),
+                x: false,
+                cc: false,
+            })
+        };
+        // R2, R6 and R8:R9 are live after the first IADD, the site.
+        let func = Function::new(
+            "k",
+            vec![
+                iadd(r(2), r(3), r(4)),
+                iadd(r(5), r(2), r(6)),
+                Instr::new(Op::St {
+                    v: r(5),
+                    width: MemWidth::B32,
+                    addr: MemAddr::global(r(8), 0),
+                    spill: false,
+                }),
+                Instr::new(Op::Exit),
+            ],
+            FunctionMeta::default(),
+        );
+        let mut sassi = Sassi::new();
+        sassi.on_after(
+            SiteFilter::REG_WRITES,
+            InfoFlags::REGISTERS,
+            Box::new(FnHandler::free(|_| {})),
+        );
+        let instrs = sassi.apply(&func, 0).instrs;
+        let d = DecodedModule::decode(&instrs);
+        let uops: Vec<UOp> = (0..d.len()).map(|pc| span_of(&d, pc).0).collect();
+        let sp_add =
+            |u: &UOp| matches!(u, UOp::IAdd { d, a, .. } if *d == Gpr::SP && *a == Gpr::SP);
+        let find =
+            |from: usize, f: &dyn Fn(&UOp) -> bool| from + uops[from..].iter().position(f).unwrap();
+
+        // The first trampoline: site at 0, push at 1.
+        let push = find(0, &sp_add);
+        assert_eq!(push, 1);
+        let p2r = find(push, &|u| matches!(u, UOp::P2R { .. }));
+        let save = push + 1..p2r;
+        // Four spills, one destination value, four parameter pairs.
+        let stores = save
+            .clone()
+            .filter(|&pc| matches!(uops[pc], UOp::St { .. }))
+            .count();
+        let movs = save
+            .clone()
+            .filter(|&pc| matches!(uops[pc], UOp::Mov { .. }))
+            .count();
+        assert_eq!((stores, movs), (4 + 1 + 4, 4), "{:?}", &uops[save.clone()]);
+        for pc in save.clone() {
+            assert_eq!(
+                span_of(&d, pc).1 as usize,
+                p2r - pc,
+                "save span from pc {pc}"
+            );
+        }
+        // The predicate save stands alone: a carry read follows it.
+        assert_eq!(span_of(&d, p2r + 1).1, 1);
+        assert!(matches!(uops[p2r + 2], UOp::IAdd { x: true, .. }));
+        // The carry-flag save and the six before-parameter pairs.
+        let cc = p2r + 3;
+        assert!(matches!(uops[cc], UOp::St { .. }));
+        assert_eq!(span_of(&d, cc).1, 13);
+        assert!(matches!(uops[cc + 13], UOp::Lop { .. }));
+
+        let trap = find(push, &|u| matches!(u, UOp::Trap { .. }));
+        let pop = find(trap, &sp_add);
+        let r2p = find(trap, &|u| matches!(u, UOp::R2P { .. }));
+        // The carry and predicate fills stand alone; the four register
+        // fills are one span.
+        assert_eq!(span_of(&d, trap + 1).1, 1);
+        assert_eq!(span_of(&d, trap + 3).1, 1);
+        assert_eq!(pop - r2p - 1, 4);
+        for pc in r2p + 1..pop {
+            assert!(matches!(span_of(&d, pc).0, UOp::Ld { .. }));
+            assert_eq!(
+                span_of(&d, pc).1 as usize,
+                pop - pc,
+                "fill span from pc {pc}"
+            );
+        }
+
+        // Every span of the module, both trampolines', holds only local
+        // accesses and immediate moves.
+        let mut marked = 0;
+        for pc in 0..d.len() {
+            let len = span_of(&d, pc).1 as usize;
+            marked += (len > 0) as usize;
+            for u in &uops[pc..pc + len] {
+                assert!(
+                    matches!(
+                        u,
+                        UOp::St { .. }
+                            | UOp::Ld { .. }
+                            | UOp::Mov {
+                                a: DSrc::Imm(_),
+                                ..
+                            }
+                    ),
+                    "{u:?} in the span at pc {pc}"
+                );
+                assert!(!sp_add(u) && !is_block_boundary(u));
+            }
+        }
+        assert!(marked > 2 * (save.len() + 13 + 4));
+    }
+
+    /// A `Mov` into the base ends a span; a load into its own base,
+    /// through either word of a pair, is never marked.
+    #[test]
+    fn writes_to_the_base_end_spans() {
+        let r = Gpr::new;
+        let stl = |v: u8, off| {
+            Instr::new(Op::St {
+                v: r(v),
+                width: MemWidth::B32,
+                addr: MemAddr::local(Gpr::SP, off),
+                spill: true,
+            })
+        };
+        let ldl = |d: u8, width, off| {
+            Instr::new(Op::Ld {
+                d: r(d),
+                width,
+                addr: MemAddr::local(Gpr::SP, off),
+                spill: true,
+            })
+        };
+        let mov = |d: Gpr| Instr::new(Op::Mov32I { d, imm: 64 });
+        let m = module_of(vec![
+            stl(2, 0),
+            mov(r(3)),
+            stl(3, 4),
+            mov(Gpr::SP),
+            stl(4, 8),
+            ldl(5, MemWidth::B32, 0),
+            ldl(1, MemWidth::B32, 4),
+            ldl(6, MemWidth::B32, 8),
+            ldl(0, MemWidth::B64, 8),
+            ldl(7, MemWidth::B32, 12),
+            ldl(8, MemWidth::B32, 2),
+            Instr::new(Op::Exit),
+        ]);
+        let d = m.decoded();
+        let spans: Vec<u8> = (0..d.len()).map(|pc| span_of(d, pc).1).collect();
+        // The move into a staging register joins; the one into SP ends
+        // the run before it and joins nothing; the load into R1, and
+        // the pair load R0:R1, are never marked, nor is the unaligned
+        // load.
+        assert_eq!(spans, [3, 2, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0]);
+        let (s, code) = d.local_span(0, 3);
+        assert_eq!(
+            (s.base, s.store, s.lo, s.hi, code.len()),
+            (Gpr::SP, true, 0, 8, 3)
+        );
     }
 
     #[test]

@@ -660,8 +660,9 @@ impl Exec<'_> {
         };
         let decoded = self.mode == ExecMode::Decoded;
         let mut block_ready = 0u64;
+        let mut plain_until = 0u32;
         loop {
-            if decoded && self.run_warp_local(wi, end, &mut block_ready) {
+            if decoded && self.run_warp_local(wi, end, &mut block_ready, &mut plain_until) {
                 break;
             }
             let pc = self.warps[wi].pc;
@@ -695,7 +696,19 @@ impl Exec<'_> {
     /// (`true`) or [`Exec::exec_warp`] declines a µop (`false`). Each
     /// µop bumps the stats and cycle as `step_decoded` does and folds
     /// its `cycle + lat.max(1)` into `block_ready` as `step_block` does.
-    fn run_warp_local(&mut self, wi: usize, end: u32, block_ready: &mut u64) -> bool {
+    ///
+    /// At a pc that starts a local span of at least two µops (see
+    /// [`DecodedInstr::span`]) inside the run, [`exec_span`] runs the
+    /// span as one step. If it declines, the span's µops run one by one
+    /// and `plain_until` (kept by `step_block` across the calls of one
+    /// run) stops the pcs inside it from trying again.
+    fn run_warp_local(
+        &mut self,
+        wi: usize,
+        end: u32,
+        block_ready: &mut u64,
+        plain_until: &mut u32,
+    ) -> bool {
         let dm: &DecodedModule = self.decoded;
         let env = WarpEnv {
             cbank: self.cbank,
@@ -710,6 +723,17 @@ impl Exec<'_> {
         let done = loop {
             let Some(di) = dm.get(w.pc) else { break false };
             let mask = guard_mask(w, di.guard);
+            if di.span >= 2 && w.pc >= *plain_until {
+                let n = (di.span as u32).min(end - w.pc);
+                if n >= 2 && exec_span(dm, w, mask, n, env.local_lat, cycle, stats, block_ready) {
+                    cycle += n as u64;
+                    if w.pc >= end {
+                        break true;
+                    }
+                    continue;
+                }
+                *plain_until = w.pc + di.span as u32;
+            }
             let Some(lat) = Self::exec_warp(&env, w, di, mask, cycle) else {
                 break false;
             };
@@ -1870,6 +1894,67 @@ fn local_rows(w: &Warp, mask: LaneMask, width: MemWidth, addr: &MemAddr) -> Opti
     uniform_offset(mask, &w.row(addr.base), addr.offset as u32)
         .filter(|a| a.is_multiple_of(4))
         .map(|a| (a, width.regs()))
+}
+
+/// Runs the `n` µops of the local span at `w.pc` (see
+/// [`DecodedInstr::span`]) under the guard mask `mask` as one step: one
+/// uniformity and alignment check of the base row and one bounds check
+/// of the span's lowest and highest byte, then each µop in order, a
+/// masked row copy per word or an immediate fill. Stats, `w.pc` and
+/// `block_ready` end as the µops run one by one in the run loop from
+/// `cycle` leave them; the caller adds the `n` cycles. Returns `false`,
+/// having done nothing, if any access of the span is off the row path
+/// or would fault, so that the µops run one by one and fault exactly
+/// where they would.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn exec_span(
+    dm: &DecodedModule,
+    w: &mut Warp,
+    mask: LaneMask,
+    n: u32,
+    local_lat: u64,
+    cycle: u64,
+    stats: &mut LaunchStats,
+    block_ready: &mut u64,
+) -> bool {
+    let (span, code) = dm.local_span(w.pc, n);
+    let Some(b0) = uniform_offset(mask, &w.row(span.base), 0) else {
+        return false;
+    };
+    let (lo, hi) = (b0 as i64 + span.lo as i64, b0 as i64 + span.hi as i64);
+    if !b0.is_multiple_of(4) || lo < 0 || hi > w.local_bytes() as i64 {
+        return false;
+    }
+    if span.store {
+        w.note_local_write(lo as u32);
+    }
+    let at = |addr: MemAddr| b0.wrapping_add(addr.offset as u32);
+    let mut ready = *block_ready;
+    for (i, di) in code.iter().enumerate() {
+        let lat = match di.uop {
+            UOp::St { v, width, addr } => {
+                w.store_words(mask, at(addr), v, width.regs());
+                local_lat
+            }
+            UOp::Ld { d, width, addr } => {
+                w.load_words(mask, at(addr), d, width.regs());
+                local_lat
+            }
+            UOp::Mov { d, a: DSrc::Imm(x) } => {
+                write_lanes(w, mask, d, |_| x);
+                di.lat as u64
+            }
+            _ => unreachable!("{:?} in a local span", di.uop),
+        };
+        stats.issue.bump(di.class);
+        ready = ready.max(cycle + i as u64 + lat.max(1));
+    }
+    *block_ready = ready;
+    stats.warp_instrs += n as u64;
+    stats.thread_instrs += n as u64 * mask.count_ones() as u64;
+    w.pc += n;
+    true
 }
 
 /// Gathers one lane's store source registers into `buf` (little-endian

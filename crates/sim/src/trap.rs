@@ -163,7 +163,9 @@ impl TrapCtx<'_> {
         block_linear * threads_per_block + (self.warp.warp_in_cta * 32) as u64 + lane as u64
     }
 
-    /// Reads a `u32` through a lane's generic address.
+    /// Reads a `u32` through a lane's generic address. A 4-aligned
+    /// local address reads its slab word in one read; any other local
+    /// address assembles the word byte by byte.
     ///
     /// # Errors
     ///
@@ -171,6 +173,10 @@ impl TrapCtx<'_> {
     /// allocation.
     pub fn read_generic_u32(&self, lane: usize, addr: u64) -> Result<u32, MemError> {
         match resolve_generic(addr) {
+            Some((AddrSpace::Local, off)) if off.is_multiple_of(4) => self
+                .warp
+                .local_word(lane, off)
+                .ok_or(MemError::OutOfBounds { addr }),
             Some((AddrSpace::Local, off)) => {
                 let mut buf = [0u8; 4];
                 if !self.warp.read_local(lane, off, &mut buf) {
@@ -315,5 +321,55 @@ mod tests {
         };
         assert_eq!(c.cycles(), 20 + 24 + 30);
         assert_eq!(HandlerCost::FREE.cycles(), 0);
+    }
+
+    /// Aligned local reads take the word path, unaligned ones the byte
+    /// path; both return what four byte reads return, `OutOfBounds`
+    /// past the slab included.
+    #[test]
+    fn generic_local_reads_match_the_byte_path() {
+        const SLAB: u32 = 64;
+        let mut warp = Warp::new(0, 0, 0, u32::MAX, 8, SLAB);
+        for lane in [0, 7, 31] {
+            let bytes: Vec<u8> = (0..SLAB).map(|i| (i * 37 + lane as u32) as u8).collect();
+            assert!(warp.write_local(lane, 0, &bytes));
+        }
+        let mut shared = [0u8; 16];
+        let mut mem = DeviceMemory::new(1 << 12);
+        let ctx = TrapCtx {
+            warp: &mut warp,
+            shared: &mut shared,
+            mem: &mut mem,
+            ctaid: (0, 0, 0),
+            block_dim: (32, 1, 1),
+            grid_dim: (1, 1, 1),
+            sm_id: 0,
+            cycle: 0,
+            kernel: "k",
+            launch_index: 0,
+        };
+        for lane in [0, 7, 31] {
+            for off in 0..SLAB as u64 + 8 {
+                let addr = GENERIC_LOCAL_TAG | off;
+                let mut buf = [0u8; 4];
+                let want = if ctx.warp.read_local(lane, off, &mut buf) {
+                    Ok(u32::from_le_bytes(buf))
+                } else {
+                    Err(MemError::OutOfBounds { addr })
+                };
+                assert_eq!(
+                    ctx.read_generic_u32(lane, addr),
+                    want,
+                    "lane {lane} off {off}"
+                );
+            }
+        }
+        // The slab's last word reads; the next one is past it.
+        let top = GENERIC_LOCAL_TAG | (SLAB as u64 - 4);
+        assert!(ctx.read_generic_u32(3, top).is_ok());
+        assert_eq!(
+            ctx.read_generic_u32(3, top + 4),
+            Err(MemError::OutOfBounds { addr: top + 4 })
+        );
     }
 }

@@ -322,17 +322,10 @@ impl Warp {
     /// one masked row copy per word. Returns `false`, loading nothing,
     /// if the words do not fit the slab.
     pub(crate) fn load_local_rows(&mut self, mask: LaneMask, off: u32, d: Gpr, n: u8) -> bool {
-        debug_assert!(off.is_multiple_of(4));
         if !self.fits(off as u64, 4 * n as usize) {
             return false;
         }
-        let w0 = off as usize / 4;
-        for k in 0..n {
-            let src = self.local.as_chunks().0[w0 + k as usize];
-            if let Some(dst) = self.row_mut(group_reg(d, k)) {
-                copy_lanes(dst, &src, mask);
-            }
-        }
+        self.load_words(mask, off, d, n);
         true
     }
 
@@ -341,11 +334,33 @@ impl Warp {
     /// masked row copy per word. Returns `false`, storing nothing, if
     /// the words do not fit the slab.
     pub(crate) fn store_local_rows(&mut self, mask: LaneMask, off: u32, v: Gpr, n: u8) -> bool {
-        debug_assert!(off.is_multiple_of(4));
         if !self.fits(off as u64, 4 * n as usize) {
             return false;
         }
-        self.local_lo = self.local_lo.min(off);
+        self.note_local_write(off);
+        self.store_words(mask, off, v, n);
+        true
+    }
+
+    /// [`Warp::load_local_rows`] for words the caller has checked fit
+    /// the slab.
+    #[inline(always)]
+    pub(crate) fn load_words(&mut self, mask: LaneMask, off: u32, d: Gpr, n: u8) {
+        debug_assert!(off.is_multiple_of(4) && self.fits(off as u64, 4 * n as usize));
+        let w0 = off as usize / 4;
+        for k in 0..n {
+            let src = self.local.as_chunks().0[w0 + k as usize];
+            if let Some(dst) = self.row_mut(group_reg(d, k)) {
+                copy_lanes(dst, &src, mask);
+            }
+        }
+    }
+
+    /// [`Warp::store_local_rows`] for words the caller has checked fit
+    /// the slab and recorded with [`Warp::note_local_write`].
+    #[inline(always)]
+    pub(crate) fn store_words(&mut self, mask: LaneMask, off: u32, v: Gpr, n: u8) {
+        debug_assert!(off.is_multiple_of(4) && off >= self.local_lo);
         let w0 = off as usize / 4;
         for k in 0..n {
             let src = self.row(group_reg(v, k));
@@ -355,7 +370,22 @@ impl Warp {
                 mask,
             );
         }
-        true
+    }
+
+    /// Records a write at slab offset `off` and above, for `reset`.
+    #[inline(always)]
+    pub(crate) fn note_local_write(&mut self, off: u32) {
+        self.local_lo = self.local_lo.min(off);
+    }
+
+    /// Lane `lane`'s slab word at the 4-aligned offset `off`, or `None`
+    /// if it does not fit the slab: [`Warp::read_local`] of 4 bytes in
+    /// one read.
+    #[inline]
+    pub(crate) fn local_word(&self, lane: usize, off: u64) -> Option<u32> {
+        debug_assert!(off.is_multiple_of(4));
+        self.fits(off, 4)
+            .then(|| self.local[32 * (off as usize / 4) + lane])
     }
 
     /// Whether `len` bytes at slab offset `off` fit the slab.

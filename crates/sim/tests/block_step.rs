@@ -571,3 +571,91 @@ fn sm_side_uop_latencies_in_cycles() {
         assert_eq!(per_mode, [want; 2], "{name}: (Decoded, Reference) cycles");
     }
 }
+
+/// A local span the decoded run loop runs as one step charges what
+/// its µops charge one by one: one cycle each, and a ready time that
+/// is its last original's, issue cycle plus the 28-cycle local
+/// latency. Each one-warp kernel is the span from pc 0, a `BRA`
+/// closing its run and `EXIT`, so the launch takes `k` cycles for the
+/// span, then the `EXIT` at the span's ready time, `k - 1 + 28`, and
+/// one more cycle: `k + 28`.
+#[test]
+fn local_span_cycles_and_ready_time() {
+    use sassi_isa::{Gpr, MemAddr, MemWidth};
+    let r = Gpr::new;
+    let stl = |v: u8, off: i32| Op::St {
+        v: r(v),
+        width: MemWidth::B32,
+        addr: MemAddr::local(Gpr::SP, off),
+        spill: true,
+    };
+    let ldl = |d: u8, off: i32| Op::Ld {
+        d: r(d),
+        width: MemWidth::B32,
+        addr: MemAddr::local(Gpr::SP, off),
+        spill: true,
+    };
+    let spills = |k: i32| {
+        (0..k)
+            .map(|j| stl(2 + j as u8, -4 - 4 * j))
+            .collect::<Vec<_>>()
+    };
+    let fills = |k: i32| {
+        (0..k)
+            .map(|j| ldl(2 + j as u8, -4 - 4 * j))
+            .collect::<Vec<_>>()
+    };
+    let pairs = |k: i32| {
+        (0..k)
+            .flat_map(|j| {
+                [
+                    Op::Mov32I {
+                        d: r(3),
+                        imm: j as u32,
+                    },
+                    stl(3, -4 - 4 * j),
+                ]
+            })
+            .collect::<Vec<_>>()
+    };
+    let cases = [
+        ("2 spills", spills(2)),
+        ("8 spills", spills(8)),
+        ("5 fills", fills(5)),
+        ("3 MOV32I/STL pairs", pairs(3)),
+    ];
+    for (name, span) in cases {
+        let k = span.len() as u32;
+        let mut ops = span;
+        ops.push(Op::Bra {
+            target: Label::Pc(k + 1),
+            uniform: true,
+        });
+        ops.push(Op::Exit);
+        let module = raw_module(ops.into_iter().map(Instr::new).collect());
+        assert_eq!(module.decoded().get(0).unwrap().span as u32, k, "{name}");
+        for mode in [ExecMode::Decoded, ExecMode::Reference] {
+            let mut dev = Device::with_defaults();
+            dev.exec_mode = mode;
+            let res = dev
+                .launch(
+                    &module,
+                    "k",
+                    LaunchDims::linear(1, 32),
+                    &[],
+                    &mut NoHandlers,
+                    0,
+                    1 << 20,
+                )
+                .unwrap();
+            assert!(res.is_ok(), "{name} ({mode:?}): {:?}", res.outcome);
+            assert_eq!(res.stats.cycles, k as u64 + 28, "{name} ({mode:?}): cycles");
+            assert_eq!(res.stats.warp_instrs, k as u64 + 2, "{name} ({mode:?})");
+            assert_eq!(
+                res.stats.thread_instrs,
+                32 * (k as u64 + 2),
+                "{name} ({mode:?})"
+            );
+        }
+    }
+}

@@ -275,6 +275,123 @@ fn step_strategy() -> impl Strategy<Value = Instr> {
         })
 }
 
+/// A trampoline-shaped run: 2 to 9 local accesses under one guard off
+/// one base, all stores (of registers, or `MOV32I`/`STL` constant
+/// pairs through a staging register) or all loads, 32 to 128 bits wide
+/// at 4-aligned offsets below the base, as a trampoline's spills,
+/// parameter stores and fills are. The base is `R1` (uniform and
+/// aligned) half the time, else `R16` (a distinct offset per lane), or
+/// `R14` set to `R1 - 2` (uniform, misaligned) or `R1 - 64` (uniform,
+/// aligned). One access in eight sits within two words of the base,
+/// where a wide one runs past the slab's top; one element in sixteen
+/// writes the base, a move to a fixed aligned offset or a load.
+fn trampoline_run_strategy() -> impl Strategy<Value = Vec<Instr>> {
+    let elem = (
+        (0u8..16, reg_strategy(), any::<u32>()),
+        (0u8..3, 0u8..8, 1i32..24),
+    );
+    (
+        (0u8..8, guard_strategy(), any::<bool>()),
+        prop::collection::vec(elem, 2..10),
+    )
+        .prop_map(|((base_pick, guard, store), elems)| {
+            let mut run = Vec::new();
+            let base = match base_pick {
+                0 => Gpr::new(16),
+                1 | 2 => {
+                    let adj = if base_pick == 1 { -2i32 } else { -64 };
+                    run.push(Instr::new(Op::IAdd {
+                        d: Gpr::new(14),
+                        a: Gpr::SP,
+                        b: Src::Imm(adj as u32),
+                        x: false,
+                        cc: false,
+                    }));
+                    Gpr::new(14)
+                }
+                _ => Gpr::SP,
+            };
+            for ((kind, r, imm), (w, near, far)) in elems {
+                let width = [MemWidth::B32, MemWidth::B64, MemWidth::B128][w as usize];
+                let words = if near == 0 { w as i32 % 2 } else { far };
+                let addr = MemAddr::local(base, -4 * words);
+                let ops = match (store, kind) {
+                    (true, 15) => vec![Op::Mov32I { d: base, imm: 1024 }],
+                    (true, 8..) => vec![
+                        Op::Mov32I { d: r, imm },
+                        Op::St {
+                            v: r,
+                            width: MemWidth::B32,
+                            addr,
+                            spill: false,
+                        },
+                    ],
+                    (true, _) => vec![Op::St {
+                        v: r,
+                        width,
+                        addr,
+                        spill: true,
+                    }],
+                    (false, 15) => vec![Op::Ld {
+                        d: base,
+                        width: MemWidth::B32,
+                        addr,
+                        spill: true,
+                    }],
+                    (false, _) => vec![Op::Ld {
+                        d: r,
+                        width,
+                        addr,
+                        spill: true,
+                    }],
+                };
+                run.extend(ops.into_iter().map(|op| Instr::guarded(guard, op)));
+            }
+            run
+        })
+}
+
+/// A piece of a trampoline-shaped block: a trampoline-shaped run three
+/// times in four, else one random µop.
+fn piece_strategy() -> impl Strategy<Value = Vec<Instr>> {
+    (0u8..4, trampoline_run_strategy(), step_strategy()).prop_map(|(pick, run, step)| {
+        if pick == 0 {
+            vec![step]
+        } else {
+            run
+        }
+    })
+}
+
+/// Folds the 24 local words below `R1` into `R15` (`R15 = 31 * R15 +
+/// word`), so what the runs stored reaches the output even where no
+/// later load read it.
+fn local_digest() -> Vec<Instr> {
+    let mut code = vec![mov(15, 0)];
+    for k in 0..24 {
+        code.push(Instr::new(Op::Ld {
+            d: Gpr::new(13),
+            width: MemWidth::B32,
+            addr: MemAddr::local(Gpr::SP, -4 - 4 * k),
+            spill: false,
+        }));
+        code.push(Instr::new(Op::IMad {
+            d: Gpr::new(15),
+            a: Gpr::new(15),
+            b: Src::Imm(31),
+            c: Gpr::new(13),
+        }));
+    }
+    code
+}
+
+/// A block of one to four pieces, then the local digest.
+fn trampoline_block(pieces: Vec<Vec<Instr>>) -> Vec<Instr> {
+    let mut block: Vec<Instr> = pieces.into_iter().flatten().collect();
+    block.extend(local_digest());
+    block
+}
+
 /// How the random block sits in the kernel.
 #[derive(Clone, Copy, Debug)]
 struct Shape {
@@ -487,6 +604,60 @@ proptest! {
         prop_assert_eq!(&res_d, &res_r, "launch result diverges");
         prop_assert_eq!(out_d, out_r, "global output diverges");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Blocks of trampoline-shaped runs, which the decoded run loop
+    /// runs as local spans where every access is on the row path and
+    /// in the slab, and one µop at a time where one is not.
+    #[test]
+    fn trampoline_shaped_runs_agree_across_modes(
+        seeds in prop::collection::vec(any::<u32>(), 8..9),
+        pieces in prop::collection::vec(piece_strategy(), 1..5),
+        shape in shape_strategy(),
+    ) {
+        let module = kernel(&trampoline_block(pieces), &seeds, shape);
+        let (res_d, out_d) = run(&module, ExecMode::Decoded);
+        let (res_r, out_r) = run(&module, ExecMode::Reference);
+        prop_assert_eq!(&res_d, &res_r, "launch result diverges");
+        prop_assert_eq!(out_d, out_r, "global output diverges");
+    }
+}
+
+/// The trampoline-shaped generator reaches what its test is for:
+/// multi-µop spans, launches that complete and that fault, loops back
+/// into the middle of a span, and modules whose runs are one µop long.
+#[test]
+fn trampoline_shaped_blocks_cover_spans() {
+    let (mut ok, mut fault, mut spans, mut mid_span, mut one_uop) = (0, 0, 0, 0, 0);
+    for case in 0..64 {
+        let mut rng = TestRng::for_case(case);
+        let pieces = prop::collection::vec(piece_strategy(), 1..5).generate(&mut rng);
+        let shape = shape_strategy().generate(&mut rng);
+        let module = kernel(&trampoline_block(pieces), &[1, 2, 3, 4, 5, 6, 7, 8], shape);
+        let dm = module.decoded();
+        let span = |pc: u32| dm.get(pc).map_or(0, |di| di.span);
+        spans += (0..dm.len() as u32).any(|pc| span(pc) >= 2) as u32;
+        let target = (0..dm.len() as u32).find_map(|pc| match dm.get(pc).unwrap().uop {
+            sassi_sim::UOp::Bra { target } => Some(target),
+            _ => None,
+        });
+        mid_span += target.is_some_and(|t| span(t) > 0 && span(t - 1) == span(t) + 1) as u32;
+        one_uop += shape.one_uop_runs as u32;
+        let (res, _) = run(&module, ExecMode::Decoded);
+        if res.is_ok() {
+            ok += 1;
+        } else {
+            fault += 1;
+        }
+    }
+    assert!(
+        spans > 48 && ok > 8 && fault > 8 && mid_span > 2 && one_uop > 16,
+        "{spans} with spans, completed {ok}, faulted {fault}, \
+         {mid_span} looping into a span, {one_uop} with one-µop runs"
+    );
 }
 
 /// The generator reaches what the test is for: completed and faulting
