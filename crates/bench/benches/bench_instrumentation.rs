@@ -84,21 +84,24 @@ fn mixed_kernel() -> sassi_isa::Function {
 /// instrumented module, relaunched per iteration so decode, site
 /// binding, warp pools and handler scratch are all warm — the
 /// measurement isolates the trampoline + dispatch + handler path that
-/// the allocation-free fast path optimizes.
+/// the allocation-free fast path optimizes. The handler bodies read
+/// their parameters as the study handlers do, through the warp views;
+/// `register_lanes` reads the `register` case's values lane by lane
+/// through the per-lane view, the cost the warp views replace.
 fn bench_trap_dispatch(c: &mut Criterion) {
     type HandlerBody = fn(&mut SiteCtx<'_, '_>);
-    let combos: [(&str, SiteFilter, InfoFlags, bool, HandlerBody); 4] = [
+    let combos: [(&str, SiteFilter, InfoFlags, bool, HandlerBody); 5] = [
         (
             "branch",
             SiteFilter::COND_BRANCHES,
             InfoFlags::COND_BRANCH,
             false,
             |ctx| {
-                let taken = ctx.ballot(|l| {
-                    ctx.branch_params(l)
-                        .expect("branch info")
-                        .direction(ctx.trap)
-                });
+                let taken = ctx
+                    .warp_branch_params()
+                    .expect("branch info")
+                    .taken(ctx.trap)
+                    .expect("readable parameters");
                 std::hint::black_box(taken);
             },
         ),
@@ -108,16 +111,43 @@ fn bench_trap_dispatch(c: &mut Criterion) {
             InfoFlags::MEMORY,
             false,
             |ctx| {
+                let active = ctx.active_mask();
+                let addrs = ctx
+                    .warp_memory_params()
+                    .expect("memory info")
+                    .addresses(ctx.trap, active)
+                    .expect("readable parameters");
                 let mut lines = 0u64;
                 for lane in ctx.active_lanes() {
-                    let mp = ctx.memory_params(lane).expect("memory info");
-                    lines ^= mp.address(ctx.trap) >> 5;
+                    lines ^= addrs[lane] >> 5;
                 }
                 std::hint::black_box(lines);
             },
         ),
         (
             "register",
+            SiteFilter::REG_WRITES,
+            InfoFlags::REGISTERS,
+            true,
+            |ctx| {
+                let mut acc = 0u32;
+                if let Some(leader) = ctx.leader() {
+                    let rp = ctx.warp_register_params().expect("register info");
+                    let n = rp.num_dsts(ctx.trap, leader).expect("readable parameters");
+                    for d in 0..n {
+                        let values = rp
+                            .values(ctx.trap, ctx.active_mask(), d)
+                            .expect("readable parameters");
+                        for lane in ctx.active_lanes() {
+                            acc &= values[lane];
+                        }
+                    }
+                }
+                std::hint::black_box(acc);
+            },
+        ),
+        (
+            "register_lanes",
             SiteFilter::REG_WRITES,
             InfoFlags::REGISTERS,
             true,

@@ -4,12 +4,16 @@
 //! A [`Handler`] is the Rust analogue of the paper's CUDA handler
 //! functions (Figures 3, 4, 6, 9): it is invoked once per warp at every
 //! instrumentation site, receives a [`SiteCtx`] giving SIMT-style access
-//! to the warp (ballot, leader election, per-lane parameter objects,
-//! register and memory state), and returns the cost to charge the warp
+//! to the warp (ballot, leader election, warp-wide and per-lane
+//! parameter objects, register and memory state), and returns the cost
+//! to charge the warp
 //! — standing in for the cycles its SASS compilation would have
 //! consumed under the 16-register cap.
 
-use crate::params::{BeforeParamsView, CondBranchParamsView, MemoryParamsView, RegisterParamsView};
+use crate::params::{
+    BeforeParamsView, CondBranchParamsView, MemoryParamsView, RegisterParamsView, WarpBeforeParams,
+    WarpBranchParams, WarpMemoryParams, WarpRegisterParams,
+};
 use crate::spec::{InfoFlags, InstPoint};
 use sassi_isa::Lanes;
 use sassi_sim::{HandlerCost, TrapCtx};
@@ -87,6 +91,37 @@ impl<'c> SiteCtx<'_, 'c> {
         self.what
             .contains(InfoFlags::REGISTERS)
             .then(|| RegisterParamsView::new(self.trap, lane))
+    }
+
+    /// The warp's `SASSIBeforeParams` / `SASSIAfterParams`, read a field
+    /// for every lane at once (see [`WarpBeforeParams`]).
+    #[inline]
+    pub fn warp_params(&self) -> WarpBeforeParams {
+        WarpBeforeParams::new(self.trap)
+    }
+
+    /// The warp's `SASSIMemoryParams`, if the spec requested it.
+    #[inline]
+    pub fn warp_memory_params(&self) -> Option<WarpMemoryParams> {
+        self.what
+            .contains(InfoFlags::MEMORY)
+            .then(|| WarpMemoryParams::new(self.trap))
+    }
+
+    /// The warp's `SASSICondBranchParams`, if requested.
+    #[inline]
+    pub fn warp_branch_params(&self) -> Option<WarpBranchParams> {
+        self.what
+            .contains(InfoFlags::COND_BRANCH)
+            .then(|| WarpBranchParams::new(self.trap))
+    }
+
+    /// The warp's `SASSIRegisterParams`, if requested.
+    #[inline]
+    pub fn warp_register_params(&self) -> Option<WarpRegisterParams> {
+        self.what
+            .contains(InfoFlags::REGISTERS)
+            .then(|| WarpRegisterParams::new(self.trap))
     }
 }
 

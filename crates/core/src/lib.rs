@@ -74,11 +74,11 @@ mod trampoline;
 pub use handler::{FnHandler, Handler, SiteCtx};
 pub use params::{
     layout, BeforeParamsView, CondBranchParamsView, MemoryDomain, MemoryParamsView,
-    RegisterParamsView,
+    RegisterParamsView, WarpBeforeParams, WarpBranchParams, WarpMemoryParams, WarpRegisterParams,
 };
 pub use pass::planned_spills;
 pub use sassi::Sassi;
 pub use spec::{HandlerRef, InfoFlags, InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
 
 // Re-exported for handler authors.
-pub use sassi_sim::{HandlerCost, TrapCtx, TrapRef, TrapSite};
+pub use sassi_sim::{HandlerCost, MemError, ParamBase, TrapCtx, TrapRef, TrapSite};

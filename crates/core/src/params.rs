@@ -26,10 +26,36 @@
 //! ```
 //!
 //! Handlers read them through the typed views below, which mirror the
-//! C++ accessor methods of the paper's Figure 2(b)/(c).
+//! C++ accessor methods of the paper's Figure 2(b)/(c). Each view comes
+//! in two forms.
+//!
+//! - **Warp views** (`WarpBeforeParams`, `WarpMemoryParams`,
+//!   `WarpBranchParams`, `WarpRegisterParams`) read a field for the
+//!   whole warp, as the paper's handlers `__ballot` a field and read the
+//!   elected leader's. A view locates its object once, when it is made
+//!   ([`TrapCtx::param_base`]). The trampoline builds every object at
+//!   one SP-relative offset for every lane, so the pointer pair is the
+//!   same 4-aligned local address in every active lane, and each 4-byte
+//!   field is then one row of the interleaved local slab: one bounds
+//!   check per field, however many lanes read it. Masks, such as the
+//!   lanes that will execute or take a branch, are one masked compare
+//!   over that row; destination values are the row itself; the
+//!   leader's fields are its entry. If the lanes' pointers differ, or are not 4-aligned
+//!   local addresses, the view reads each lane through its own pointer,
+//!   with the same results.
+//! - **Per-lane views** (`BeforeParamsView` and the others) read one
+//!   lane's field through that lane's pointer.
+//!
+//! Every read is fallible. A field no lane's pointer can reach (a
+//! pointer pair a fault injection or a bad handler left pointing
+//! nowhere) records the fault on the [`TrapCtx`], and the launch ends
+//! with it at the trap's pc once the handler returns: a
+//! `KernelOutcome::Fault`, never a host panic. Warp views also return
+//! the error, so a handler can stop early; per-lane views read zero.
 
-use sassi_isa::{AddrSpace, OpcodeKind};
-use sassi_sim::TrapCtx;
+use sassi_isa::{AddrSpace, LaneMask, OpcodeKind};
+use sassi_sim::{MemError, ParamBase, TrapCtx};
+use std::borrow::Cow;
 
 /// Byte offsets and sizes of the stack-allocated parameter objects.
 pub mod layout {
@@ -148,9 +174,208 @@ impl MemoryDomain {
     }
 }
 
+/// Lane `lane`'s word at `off` past `ptr`; zero, with the fault
+/// recorded, if it is unreadable.
 fn read32(ctx: &TrapCtx<'_>, lane: usize, ptr: u64, off: i32) -> u32 {
     ctx.read_generic_u32(lane, ptr.wrapping_add(off as u64))
-        .expect("instrumentation parameter object unreadable")
+        .unwrap_or_else(|e| {
+            ctx.record_fault(e);
+            0
+        })
+}
+
+/// The lanes of `mask` whose word in `row` satisfies `f`: one compare
+/// per lane of the row, masked once.
+#[inline]
+fn lanes_where(row: &[u32; 32], mask: LaneMask, f: impl Fn(u32) -> bool) -> LaneMask {
+    let mut m = 0;
+    for (lane, &v) in row.iter().enumerate() {
+        m |= (f(v) as u32) << lane;
+    }
+    m & mask
+}
+
+/// Lane `lane`'s word of field `field` of the object at `base`.
+#[inline]
+fn word(ctx: &TrapCtx<'_>, base: ParamBase, field: i32, lane: usize) -> Result<u32, MemError> {
+    Ok(ctx.param_field(base, field as u32, 1 << lane)?[lane])
+}
+
+/// Warp form of [`BeforeParamsView`]: the `SASSIBeforeParams` /
+/// `SASSIAfterParams` object R4:R5 names in every active lane, located
+/// once when the view is made.
+#[derive(Clone, Copy, Debug)]
+pub struct WarpBeforeParams {
+    base: ParamBase,
+}
+
+impl WarpBeforeParams {
+    /// Locates the object R4:R5 names (see [`TrapCtx::param_base`]).
+    #[inline]
+    pub fn new(ctx: &TrapCtx<'_>) -> WarpBeforeParams {
+        WarpBeforeParams {
+            base: ctx.param_base(0),
+        }
+    }
+
+    /// The active lanes whose guard passes,
+    /// `__ballot(instrWillExecute)`: one masked compare over a row.
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn will_execute(&self, ctx: &TrapCtx<'_>) -> Result<LaneMask, MemError> {
+        let mask = ctx.active_mask();
+        let row = ctx.param_field(self.base, layout::WILL_EXECUTE as u32, mask)?;
+        Ok(lanes_where(&row, mask, |v| v != 0))
+    }
+
+    /// Lane `lane`'s instruction address (`GetInsAddr`).
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn ins_addr(&self, ctx: &TrapCtx<'_>, lane: usize) -> Result<u64, MemError> {
+        let fn_addr = word(ctx, self.base, layout::FN_ADDR, lane)?;
+        let offset = word(ctx, self.base, layout::INS_OFFSET, lane)?;
+        Ok(u64::from(fn_addr) + u64::from(offset))
+    }
+}
+
+/// Warp form of [`MemoryParamsView`]: the `SASSIMemoryParams` object
+/// R6:R7 names in every active lane, located once.
+#[derive(Clone, Copy, Debug)]
+pub struct WarpMemoryParams {
+    base: ParamBase,
+}
+
+impl WarpMemoryParams {
+    /// Locates the object R6:R7 names (see [`TrapCtx::param_base`]).
+    #[inline]
+    pub fn new(ctx: &TrapCtx<'_>) -> WarpMemoryParams {
+        WarpMemoryParams {
+            base: ctx.param_base(1),
+        }
+    }
+
+    /// The lanes of `mask` whose access is in `domain` (`GetDomain`).
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn in_domain(
+        &self,
+        ctx: &TrapCtx<'_>,
+        mask: LaneMask,
+        domain: MemoryDomain,
+    ) -> Result<LaneMask, MemError> {
+        let row = ctx.param_field(self.base, layout::MEM_DOMAIN as u32, mask)?;
+        Ok(lanes_where(&row, mask, |v| {
+            MemoryDomain::from_code(v) == domain
+        }))
+    }
+
+    /// The effective (generic) address of each lane of `mask`
+    /// (`GetAddress`); the entries of other lanes are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn addresses(&self, ctx: &TrapCtx<'_>, mask: LaneMask) -> Result<[u64; 32], MemError> {
+        let lo = ctx.param_field(self.base, layout::MEM_ADDRESS as u32, mask)?;
+        let hi = ctx.param_field(self.base, layout::MEM_ADDRESS as u32 + 4, mask)?;
+        Ok(std::array::from_fn(|l| {
+            u64::from(lo[l]) | u64::from(hi[l]) << 32
+        }))
+    }
+}
+
+/// Warp form of [`CondBranchParamsView`]: the `SASSICondBranchParams`
+/// object R6:R7 names in every active lane, located once.
+#[derive(Clone, Copy, Debug)]
+pub struct WarpBranchParams {
+    base: ParamBase,
+}
+
+impl WarpBranchParams {
+    /// Locates the object R6:R7 names (see [`TrapCtx::param_base`]).
+    #[inline]
+    pub fn new(ctx: &TrapCtx<'_>) -> WarpBranchParams {
+        WarpBranchParams {
+            base: ctx.param_base(1),
+        }
+    }
+
+    /// The active lanes that take the branch, `__ballot(GetDirection())`:
+    /// one masked compare over a row.
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn taken(&self, ctx: &TrapCtx<'_>) -> Result<LaneMask, MemError> {
+        let mask = ctx.active_mask();
+        let row = ctx.param_field(self.base, layout::BR_DIRECTION as u32, mask)?;
+        Ok(lanes_where(&row, mask, |v| v != 0))
+    }
+}
+
+/// Warp form of [`RegisterParamsView`]: the `SASSIRegisterParams`
+/// object R6:R7 names in every active lane, located once.
+#[derive(Clone, Copy, Debug)]
+pub struct WarpRegisterParams {
+    base: ParamBase,
+}
+
+impl WarpRegisterParams {
+    /// Locates the object R6:R7 names (see [`TrapCtx::param_base`]).
+    #[inline]
+    pub fn new(ctx: &TrapCtx<'_>) -> WarpRegisterParams {
+        WarpRegisterParams {
+            base: ctx.param_base(1),
+        }
+    }
+
+    /// Lane `lane`'s number of GPR destinations (`GetNumGPRDsts`).
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn num_dsts(&self, ctx: &TrapCtx<'_>, lane: usize) -> Result<u32, MemError> {
+        Ok(word(ctx, self.base, layout::REG_NUM_DSTS, lane)?.min(layout::REG_MAX_DSTS))
+    }
+
+    /// Lane `lane`'s register number of destination `i` (`GetRegNum`).
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn reg_num(&self, ctx: &TrapCtx<'_>, lane: usize, i: u32) -> Result<u32, MemError> {
+        word(ctx, self.base, layout::REG_ENTRIES + 8 * i as i32, lane)
+    }
+
+    /// Destination `i`'s value in each lane of `mask` (`GetRegValue`),
+    /// as one row; the entries of other lanes are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// As [`TrapCtx::param_field`]; the fault is recorded.
+    #[inline]
+    pub fn values<'t>(
+        &self,
+        ctx: &'t TrapCtx<'_>,
+        mask: LaneMask,
+        i: u32,
+    ) -> Result<Cow<'t, [u32; 32]>, MemError> {
+        let field = layout::REG_ENTRIES + 8 * i as i32 + 4;
+        ctx.param_field(self.base, field as u32, mask)
+    }
 }
 
 /// View of a lane's `SASSIBeforeParams` / `SASSIAfterParams`.

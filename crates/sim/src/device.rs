@@ -44,6 +44,7 @@ use sassi_isa::{
 use sassi_mem::{
     apply_atom, DeviceMemory, HierarchyConfig, HierarchyStats, JournalOp, MemError, MemoryHierarchy,
 };
+use std::cell::Cell;
 use std::fmt;
 
 mod reference;
@@ -905,7 +906,7 @@ impl Exec<'_> {
                 w.pc = target;
                 return Ok(4);
             }
-            UOp::Trap { handler, site } => self.trap(wi, TrapRef { site, handler }),
+            UOp::Trap { handler, site } => self.trap(wi, TrapRef { site, handler })?,
             UOp::Ret => {
                 let w = &mut self.warps[wi];
                 w.pc = w.call_stack.pop().ok_or(FaultKind::CallStackUnderflow)?;
@@ -940,8 +941,9 @@ impl Exec<'_> {
 
     /// Dispatches the trap at warp `wi`'s pc to the handler runtime,
     /// for both interpreters. Returns the trap µop's latency: 4 cycles
-    /// plus the handler's cost.
-    fn trap(&mut self, wi: usize, trap: TrapRef) -> u64 {
+    /// plus the handler's cost; or the fault the handler recorded (see
+    /// [`TrapCtx::record_fault`]), raised at the trap's pc.
+    fn trap(&mut self, wi: usize, trap: TrapRef) -> Result<u64, FaultKind> {
         self.stats.handler_calls += 1;
         let warp = &mut self.warps[wi];
         let cta = &mut self.ctas[warp.cta];
@@ -956,10 +958,14 @@ impl Exec<'_> {
             cycle: self.cycle,
             kernel: &self.kernel.name,
             launch_index: self.launch_index,
+            fault: Cell::new(None),
         };
         let cycles = self.runtime.handle(trap, &mut ctx).cycles();
+        if let Some(fault) = ctx.fault.take() {
+            return Err(fault);
+        }
         self.stats.handler_cycles += cycles;
-        4 + cycles
+        Ok(4 + cycles)
     }
 
     /// `BAR.SYNC` for both interpreters: parks warp `wi` at its CTA's
@@ -1864,22 +1870,6 @@ fn global_addrs(
     (addrs, n, span)
 }
 
-/// The slab offset every lane of `mask` accesses, if `mask` is not
-/// empty and all of its lanes name the same one.
-#[inline(always)]
-fn uniform_offset(mask: LaneMask, base: &[u32; 32], off: u32) -> Option<u32> {
-    if mask == 0 {
-        return None;
-    }
-    let b0 = base[mask.trailing_zeros() as usize];
-    let uniform = if mask == u32::MAX {
-        base.iter().fold(0, |differ, &b| differ | (b ^ b0)) == 0
-    } else {
-        sassi_isa::lanes(mask).all(|lane| base[lane] == b0)
-    };
-    uniform.then(|| b0.wrapping_add(off))
-}
-
 /// The slab offset and word count of a local access on the row path:
 /// a 32-, 64- or 128-bit `Local` access that every active lane makes
 /// at one 4-aligned offset, as every trampoline spill, fill and
@@ -1891,7 +1881,8 @@ fn local_rows(w: &Warp, mask: LaneMask, width: MemWidth, addr: &MemAddr) -> Opti
     {
         return None;
     }
-    uniform_offset(mask, &w.row(addr.base), addr.offset as u32)
+    w.uniform_reg(mask, addr.base)
+        .map(|b| b.wrapping_add(addr.offset as u32))
         .filter(|a| a.is_multiple_of(4))
         .map(|a| (a, width.regs()))
 }
@@ -1919,7 +1910,7 @@ fn exec_span(
     block_ready: &mut u64,
 ) -> bool {
     let (span, code) = dm.local_span(w.pc, n);
-    let Some(b0) = uniform_offset(mask, &w.row(span.base), 0) else {
+    let Some(b0) = w.uniform_reg(mask, span.base) else {
         return false;
     };
     let (lo, hi) = (b0 as i64 + span.lo as i64, b0 as i64 + span.hi as i64);

@@ -124,7 +124,7 @@ impl Exec<'_> {
                 // The decoded µop carries its site index; here we look
                 // it up from the (shared) site table.
                 let site = self.decoded.site_at(pc).unwrap_or(u32::MAX);
-                self.trap(wi, TrapRef { site, handler: *id })
+                self.trap(wi, TrapRef { site, handler: *id })?
             }
             Op::Jcal { .. } => return Err(FaultKind::InvalidPc { pc: pc as u64 }),
             Op::Ret => {

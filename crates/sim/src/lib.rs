@@ -61,5 +61,9 @@ pub use module::{LinkError, LinkedFunction, Module};
 pub use stats::{
     FaultInfo, FaultKind, IssueClass, IssueCounters, KernelOutcome, LaunchResult, LaunchStats,
 };
-pub use trap::{HandlerCost, HandlerRuntime, NoHandlers, RuntimeShard, TrapCtx, TrapRef};
+pub use trap::{
+    HandlerCost, HandlerRuntime, NoHandlers, ParamBase, RuntimeShard, TrapCtx, TrapRef,
+};
 pub use warp::{StackEntry, Warp, WarpStatus};
+// The error of a `TrapCtx` memory read, for handler APIs built on it.
+pub use sassi_mem::MemError;

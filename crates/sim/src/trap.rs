@@ -10,11 +10,14 @@
 //! leads up to the trap is real simulated SASS either way.
 
 use crate::decode::TrapSite;
+use crate::stats::FaultKind;
 use crate::warp::Warp;
 use sassi_isa::{
     lanes, resolve_generic, AddrSpace, Gpr, LaneMask, Lanes, PredReg, GENERIC_LOCAL_TAG,
 };
 use sassi_mem::{DeviceMemory, MemError};
+use std::borrow::Cow;
+use std::cell::Cell;
 
 /// Cost declared by a native handler for one invocation, charged to the
 /// calling warp as cycles. This models the instructions the handler
@@ -55,6 +58,11 @@ impl HandlerCost {
 /// extent was computed at decode time, so a handler that moved `pc`
 /// would desynchronize the run (and, on real SASSI, would corrupt the
 /// trampoline's return path just the same).
+///
+/// A handler that cannot read its parameter objects records the fault
+/// here ([`TrapCtx::record_fault`]); the launch then ends with it at the
+/// trap's pc once the handler returns, as it would had a compiled
+/// handler's load faulted.
 pub struct TrapCtx<'a> {
     /// The trapping warp (registers, predicates, local slabs, masks).
     pub warp: &'a mut Warp,
@@ -76,6 +84,28 @@ pub struct TrapCtx<'a> {
     pub kernel: &'a str,
     /// Dynamic index of this kernel launch (set by the host runtime).
     pub launch_index: u64,
+    /// The first fault a handler recorded in this trap.
+    pub(crate) fault: Cell<Option<FaultKind>>,
+}
+
+/// Where the parameter object an ABI pointer pair names lives for the
+/// warp, checked once per trap by [`TrapCtx::param_base`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ParamBase {
+    /// The ABI pair: 0 → R4:R5, 1 → R6:R7.
+    idx: u8,
+    /// The object's slab offset, when every active lane's pointer is
+    /// the same 4-aligned local address.
+    slab: Option<u32>,
+}
+
+impl ParamBase {
+    /// Whether field reads take the row path: one bounds check and a
+    /// borrowed slab row, rather than one read per lane.
+    #[inline]
+    pub fn is_row(&self) -> bool {
+        self.slab.is_some()
+    }
 }
 
 impl TrapCtx<'_> {
@@ -207,6 +237,113 @@ impl TrapCtx<'_> {
         let lo = self.read_generic_u32(lane, addr)? as u64;
         let hi = self.read_generic_u32(lane, addr + 4)? as u64;
         Ok(lo | (hi << 32))
+    }
+
+    /// Checks once for the warp where the parameter object ABI pair
+    /// `idx` (0 → R4:R5, 1 → R6:R7) points. If every active lane holds
+    /// the same 4-aligned generic local address, as the trampoline
+    /// leaves it, the object is at one slab offset for every lane and
+    /// each 4-byte field is one slab row: the two register rows are
+    /// folded in place and the address decoded once. Otherwise, or
+    /// with no active lane, fields are read lane by lane.
+    #[inline]
+    pub fn param_base(&self, idx: u8) -> ParamBase {
+        debug_assert!(idx < 2);
+        let (mask, lo) = (self.warp.active, Gpr::new(4 + 2 * idx));
+        let slab = self
+            .warp
+            .uniform_reg(mask, lo)
+            .zip(self.warp.uniform_reg(mask, lo.pair_hi()))
+            .and_then(
+                |(lo, hi)| match resolve_generic(u64::from(lo) | u64::from(hi) << 32) {
+                    Some((AddrSpace::Local, off)) if off.is_multiple_of(4) => Some(off as u32),
+                    _ => None,
+                },
+            );
+        ParamBase { idx, slab }
+    }
+
+    /// The 4-byte field at byte offset `field` of the parameter object
+    /// `base` names, for the lanes of `mask` (a subset of the active
+    /// mask): entry `l` is lane `l`'s word. On the row path this is the
+    /// slab row itself after one bounds check, and the entries of other
+    /// lanes hold whatever their slabs hold. On the per-lane path each
+    /// lane of `mask` reads through its own pointer, as
+    /// [`TrapCtx::read_generic_u32`] does, and the other entries are
+    /// zero. Both paths return the same words and the same error, and
+    /// an empty `mask` reads nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Misaligned`] if `field` is not 4-aligned, otherwise
+    /// the error of the lowest lane of `mask` whose read fails. A
+    /// failed read also records its fault ([`TrapCtx::record_fault`]).
+    #[inline]
+    pub fn param_field(
+        &self,
+        base: ParamBase,
+        field: u32,
+        mask: LaneMask,
+    ) -> Result<Cow<'_, [u32; 32]>, MemError> {
+        if let Some(slab) = base.slab.filter(|_| mask != 0 && field.is_multiple_of(4)) {
+            if let Some(row) = self.warp.local_row(u64::from(slab) + u64::from(field)) {
+                return Ok(Cow::Borrowed(row));
+            }
+        }
+        self.param_field_slow(base, field, mask)
+            .inspect_err(|&e| self.record_fault(e))
+    }
+
+    /// [`TrapCtx::param_field`] off the row path: the per-lane loop, and
+    /// the row path's errors.
+    #[inline(never)]
+    fn param_field_slow(
+        &self,
+        base: ParamBase,
+        field: u32,
+        mask: LaneMask,
+    ) -> Result<Cow<'_, [u32; 32]>, MemError> {
+        let misaligned = |addr| MemError::Misaligned { addr, align: 4 };
+        if let Some(slab) = base.slab.filter(|_| mask != 0) {
+            let addr = (GENERIC_LOCAL_TAG | u64::from(slab)).wrapping_add(u64::from(field));
+            return Err(match field.is_multiple_of(4) {
+                true => MemError::OutOfBounds { addr },
+                false => misaligned(addr),
+            });
+        }
+        let mut row = [0; 32];
+        for lane in lanes(mask) {
+            let addr = self
+                .abi_param(lane, base.idx)
+                .wrapping_add(u64::from(field));
+            if !field.is_multiple_of(4) {
+                return Err(misaligned(addr));
+            }
+            row[lane] = self.read_generic_u32(lane, addr)?;
+        }
+        Ok(Cow::Owned(row))
+    }
+
+    /// Records that a handler could not read its parameter objects: the
+    /// launch ends with this fault at the trap's pc once the handler
+    /// returns. The fault is the one a compiled handler's generic load
+    /// of the address raises: a stack or shared-segment violation in
+    /// those windows, a memory violation anywhere else. Only the first
+    /// fault of a trap is kept.
+    #[cold]
+    pub fn record_fault(&self, e: MemError) {
+        if self.fault.get().is_some() {
+            return;
+        }
+        self.fault.set(Some(match e {
+            MemError::OutOfBounds { addr } => match resolve_generic(addr) {
+                Some((AddrSpace::Local, offset)) => FaultKind::StackViolation { offset },
+                Some((AddrSpace::Shared, offset)) => FaultKind::SharedViolation { offset },
+                _ => FaultKind::MemViolation { addr },
+            },
+            MemError::Misaligned { addr, .. } => FaultKind::Misaligned { addr },
+            MemError::OutOfMemory => FaultKind::MemViolation { addr: 0 },
+        }));
     }
 
     /// Writes a `u32` through a lane's generic address.
@@ -347,6 +484,7 @@ mod tests {
             cycle: 0,
             kernel: "k",
             launch_index: 0,
+            fault: Cell::new(None),
         };
         for lane in [0, 7, 31] {
             for off in 0..SLAB as u64 + 8 {
@@ -371,5 +509,102 @@ mod tests {
             ctx.read_generic_u32(3, top + 4),
             Err(MemError::OutOfBounds { addr: top + 4 })
         );
+    }
+
+    /// Warp-wide field reads return what per-lane reads return in every
+    /// lane they read, on the row path (one object offset for the warp)
+    /// and on the per-lane path (pointers that differ), under full,
+    /// half, one-lane and empty masks; a misaligned or past-the-slab
+    /// field is an error, recorded as the fault a load would raise.
+    #[test]
+    fn param_fields_match_per_lane_reads() {
+        const SLAB: u32 = 256;
+        const OBJ: u64 = 0x40;
+        let mut warp = Warp::new(0, 0, 0, u32::MAX, 8, SLAB);
+        for lane in 0..32 {
+            let bytes: Vec<u8> = (0..SLAB).map(|i| (i * 37 + lane * 11) as u8).collect();
+            assert!(warp.write_local(lane as usize, 0, &bytes));
+        }
+        // R4:R5 names one object in lanes 0..=30 and another in lane 31;
+        // R6:R7 names one object in every lane.
+        for lane in 0..32 {
+            let before = if lane == 31 { OBJ + 8 } else { OBJ };
+            warp.set_reg64(lane, Gpr::new(4), GENERIC_LOCAL_TAG | before);
+            warp.set_reg64(lane, Gpr::new(6), GENERIC_LOCAL_TAG | (OBJ + 0x60));
+        }
+        let mut shared = [0u8; 16];
+        let mut mem = DeviceMemory::new(1 << 12);
+        let ctx = TrapCtx {
+            warp: &mut warp,
+            shared: &mut shared,
+            mem: &mut mem,
+            ctaid: (0, 0, 0),
+            block_dim: (32, 1, 1),
+            grid_dim: (1, 1, 1),
+            sm_id: 0,
+            cycle: 0,
+            kernel: "k",
+            launch_index: 0,
+            fault: Cell::new(None),
+        };
+        for mask in [u32::MAX, 0x0000_ffff, 1 << 31, 0] {
+            ctx.warp.active = mask;
+            let bases = [ctx.param_base(0), ctx.param_base(1)];
+            assert_eq!(bases[0].is_row(), mask != 0 && mask != u32::MAX);
+            assert_eq!(bases[1].is_row(), mask != 0);
+            for (idx, &base) in bases.iter().enumerate() {
+                for field in (0..0x60).step_by(4) {
+                    let row = ctx.param_field(base, field, mask).unwrap();
+                    for lane in lanes(mask) {
+                        let addr = ctx.abi_param(lane, idx as u8) + field as u64;
+                        let want = ctx.read_generic_u32(lane, addr);
+                        assert_eq!(Ok(row[lane]), want, "mask {mask:#x} lane {lane}");
+                        let one = ctx.param_field(base, field, 1 << lane).unwrap();
+                        assert_eq!(one[lane], row[lane]);
+                    }
+                }
+                if mask == 0 {
+                    continue;
+                }
+                let lane = mask.trailing_zeros() as usize;
+                let ptr = ctx.abi_param(lane, idx as u8);
+                assert_eq!(
+                    ctx.param_field(base, 6, mask),
+                    Err(MemError::Misaligned {
+                        addr: ptr + 6,
+                        align: 4
+                    })
+                );
+                assert_eq!(
+                    ctx.fault.take(),
+                    Some(FaultKind::Misaligned { addr: ptr + 6 })
+                );
+                let past = SLAB - (ptr - GENERIC_LOCAL_TAG) as u32;
+                let addr = GENERIC_LOCAL_TAG | SLAB as u64;
+                assert_eq!(
+                    ctx.param_field(base, past, mask),
+                    Err(MemError::OutOfBounds { addr })
+                );
+                assert_eq!(
+                    ctx.fault.take(),
+                    Some(FaultKind::StackViolation {
+                        offset: SLAB as u64
+                    })
+                );
+            }
+        }
+        assert_eq!(ctx.fault.get(), None, "successful reads record nothing");
+        // A null pointer pair is a memory violation at the field.
+        ctx.warp.active = u32::MAX;
+        for lane in 0..32 {
+            ctx.warp.set_reg64(lane, Gpr::new(4), 0);
+        }
+        let base = ctx.param_base(0);
+        assert!(!base.is_row());
+        assert_eq!(
+            ctx.param_field(base, 4, u32::MAX),
+            Err(MemError::OutOfBounds { addr: 4 })
+        );
+        assert_eq!(ctx.fault.get(), Some(FaultKind::MemViolation { addr: 4 }));
     }
 }

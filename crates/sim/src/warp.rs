@@ -233,6 +233,27 @@ impl Warp {
         self.regs.as_chunks().0[r.index() as usize]
     }
 
+    /// The value every lane of `mask` holds in register `r` (zero for
+    /// `RZ`), if `mask` is not empty and all of its lanes agree. Folds
+    /// the row in place, without copying it.
+    #[inline(always)]
+    pub(crate) fn uniform_reg(&self, mask: LaneMask, r: Gpr) -> Option<u32> {
+        if mask == 0 {
+            return None;
+        }
+        if r.is_rz() {
+            return Some(0);
+        }
+        let row: &[u32; 32] = &self.regs.as_chunks().0[r.index() as usize];
+        let v0 = row[mask.trailing_zeros() as usize];
+        let uniform = if mask == u32::MAX {
+            row.iter().fold(0, |differ, &v| differ | (v ^ v0)) == 0
+        } else {
+            sassi_isa::lanes(mask).all(|lane| row[lane] == v0)
+        };
+        uniform.then_some(v0)
+    }
+
     /// Register `r` of every lane, for writing; `None` for `RZ`, whose
     /// writes are dropped.
     #[inline(always)]
@@ -383,9 +404,16 @@ impl Warp {
     /// one read.
     #[inline]
     pub(crate) fn local_word(&self, lane: usize, off: u64) -> Option<u32> {
+        self.local_row(off).map(|row| row[lane])
+    }
+
+    /// The slab word at the 4-aligned offset `off` of every lane, one
+    /// row, or `None` if it does not fit the slab.
+    #[inline]
+    pub(crate) fn local_row(&self, off: u64) -> Option<&[u32; 32]> {
         debug_assert!(off.is_multiple_of(4));
         self.fits(off, 4)
-            .then(|| self.local[32 * (off as usize / 4) + lane])
+            .then(|| &self.local.as_chunks().0[off as usize / 4])
     }
 
     /// Whether `len` bytes at slab offset `off` fit the slab.

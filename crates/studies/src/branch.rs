@@ -7,7 +7,7 @@
 //! in a hash table keyed by the instruction's address.
 
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, InfoFlags, Sassi, SiteCtx, SiteFilter};
+use sassi::{Handler, HandlerCost, InfoFlags, MemError, Sassi, SiteCtx, SiteFilter};
 use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -41,21 +41,36 @@ struct BranchHandler {
 
 impl Handler for BranchHandler {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
+        // An unreadable parameter object records a fault that ends the
+        // launch; the branch is then not counted.
+        let _ = self.count(ctx);
+        // Figure 4's handler compiles to roughly this much SASS under
+        // the 16-register cap: ballots, popcounts, hash-table probe and
+        // five atomic adds.
+        HandlerCost {
+            instructions: 28,
+            memory_ops: 2,
+            atomics: 5,
+        }
+    }
+}
+
+impl BranchHandler {
+    fn count(&self, ctx: &SiteCtx<'_, '_>) -> Result<(), MemError> {
         // int active = __ballot(1);
         let active = ctx.active_mask();
         // int taken = __ballot(dir == true);
-        let taken = ctx.ballot(|lane| {
-            ctx.branch_params(lane)
-                .expect("branch info requested")
-                .direction(ctx.trap)
-        });
+        let taken = ctx
+            .warp_branch_params()
+            .expect("branch info requested")
+            .taken(ctx.trap)?;
         let ntaken = active & !taken;
         let num_active = active.count_ones() as u64;
         let num_taken = taken.count_ones() as u64;
         let num_not_taken = ntaken.count_ones() as u64;
         // The first active thread records the result.
         if let Some(leader) = ctx.leader() {
-            let addr = ctx.params(leader).ins_addr(ctx.trap);
+            let addr = ctx.warp_params().ins_addr(ctx.trap, leader)?;
             let mut st = self.state.lock();
             let s = st.branches.entry(addr).or_default();
             s.total_branches += 1;
@@ -66,14 +81,7 @@ impl Handler for BranchHandler {
                 s.divergent_branches += 1;
             }
         }
-        // Figure 4's handler compiles to roughly this much SASS under
-        // the 16-register cap: ballots, popcounts, hash-table probe and
-        // five atomic adds.
-        HandlerCost {
-            instructions: 28,
-            memory_ops: 2,
-            atomics: 5,
-        }
+        Ok(())
     }
 }
 

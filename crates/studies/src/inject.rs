@@ -48,10 +48,12 @@ struct ProfileHandler {
 
 impl Handler for ProfileHandler {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
-        let executing = u64::from(
-            ctx.ballot(|l| ctx.params(l).will_execute(ctx.trap))
-                .count_ones(),
-        );
+        // An unreadable parameter object records a fault that ends the
+        // launch; nothing is counted.
+        let executing = ctx
+            .warp_params()
+            .will_execute(ctx.trap)
+            .map_or(0, |exec| u64::from(exec.count_ones()));
         if executing > 0 {
             let li = ctx.trap.launch_index as usize;
             let mut st = self.state.lock();
@@ -177,7 +179,11 @@ impl Handler for InjectHandler {
         if self.done || ctx.trap.launch_index != self.site.launch {
             return cost;
         }
-        let exec = ctx.ballot(|l| ctx.params(l).will_execute(ctx.trap));
+        // An unreadable parameter object records a fault that ends the
+        // launch; nothing is injected.
+        let Ok(exec) = ctx.warp_params().will_execute(ctx.trap) else {
+            return cost;
+        };
         let n = u64::from(exec.count_ones());
         if self.counter + n <= self.site.nth {
             self.counter += n;
@@ -327,8 +333,9 @@ impl InjectionCampaign {
     }
 }
 
-/// Runs one injection and categorizes the outcome.
-pub fn run_one(w: &dyn Workload, site: InjectionSite, watchdog: u64) -> Outcome {
+/// The instrumentor of one injection run: after every injection
+/// candidate, count executions and inject at `site`.
+pub(crate) fn injector(site: InjectionSite) -> Sassi {
     let mut sassi = Sassi::new();
     sassi.on_after(
         injection_filter(),
@@ -339,6 +346,12 @@ pub fn run_one(w: &dyn Workload, site: InjectionSite, watchdog: u64) -> Outcome 
             done: false,
         }),
     );
+    sassi
+}
+
+/// Runs one injection and categorizes the outcome.
+pub fn run_one(w: &dyn Workload, site: InjectionSite, watchdog: u64) -> Outcome {
+    let mut sassi = injector(site);
     let report = execute(w, Some(&mut sassi), Some(watchdog));
     match report.output {
         Err(RunFailure::Hang) => Outcome::Hang,

@@ -8,7 +8,7 @@
 //! unique lines).
 
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, InfoFlags, MemoryDomain, Sassi, SiteCtx, SiteFilter};
+use sassi::{Handler, HandlerCost, InfoFlags, MemError, MemoryDomain, Sassi, SiteCtx, SiteFilter};
 use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -85,24 +85,9 @@ struct MemDivHandler {
 
 impl Handler for MemDivHandler {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
-        // Figure 6: filter out lanes whose guard is false, keep global
-        // accesses only, shift off the line offset bits. At most one
-        // line address per active lane, so the workset lives on the
-        // stack.
-        let mut line_addrs = [0u64; 32];
-        let mut num_active = 0;
-        for lane in ctx.active_lanes() {
-            let bp = ctx.params(lane);
-            if !bp.will_execute(ctx.trap) {
-                continue;
-            }
-            let mp = ctx.memory_params(lane).expect("memory info requested");
-            if mp.domain(ctx.trap) != MemoryDomain::Global {
-                continue; // __isGlobal filter
-            }
-            line_addrs[num_active] = mp.address(ctx.trap) >> OFFSET_BITS;
-            num_active += 1;
-        }
+        // An unreadable parameter object records a fault that ends the
+        // launch; the access is then not tallied.
+        let (line_addrs, num_active) = global_lines(ctx).unwrap_or(([0; 32], 0));
         if num_active == 0 {
             return HandlerCost {
                 instructions: 10,
@@ -130,6 +115,22 @@ impl Handler for MemDivHandler {
             atomics: 1,
         }
     }
+}
+
+/// Figure 6's filter: the 32-byte line address of each lane whose
+/// guard passes and whose access is global, in lane order, and how many
+/// there are. At most one per lane, so the workset lives on the stack.
+fn global_lines(ctx: &SiteCtx<'_, '_>) -> Result<([u64; 32], usize), MemError> {
+    let exec = ctx.warp_params().will_execute(ctx.trap)?;
+    let mp = ctx.warp_memory_params().expect("memory info requested");
+    // The __isGlobal filter.
+    let global = mp.in_domain(ctx.trap, exec, MemoryDomain::Global)?;
+    let addrs = mp.addresses(ctx.trap, global)?;
+    let mut line_addrs = [0u64; 32];
+    for (i, lane) in sassi_isa::lanes(global).enumerate() {
+        line_addrs[i] = addrs[lane] >> OFFSET_BITS;
+    }
+    Ok((line_addrs, global.count_ones() as usize))
 }
 
 /// The study result for one workload.

@@ -8,7 +8,7 @@
 //! warp carried the same value (scalar detection via `__shfl`/`__all`).
 
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, InfoFlags, Sassi, SiteCtx, SiteFilter};
+use sassi::{Handler, HandlerCost, InfoFlags, MemError, Sassi, SiteCtx, SiteFilter};
 use sassi_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -67,58 +67,68 @@ struct ValueHandler {
 
 impl Handler for ValueHandler {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
-        // Lanes whose guard passed actually wrote their destinations —
-        // a ballot, kept as a mask (no per-trap allocation).
-        let exec = ctx.ballot(|l| ctx.params(l).will_execute(ctx.trap));
-        if exec == 0 {
-            return HandlerCost {
+        // An unreadable parameter object records a fault that ends the
+        // launch.
+        match self.profile(ctx) {
+            Ok(n) if n > 0 => {
+                // Figure 9's loop costs ~14 instructions + 3 atomics per
+                // destination, plus hashing overhead.
+                HandlerCost {
+                    instructions: 12 + 14 * n,
+                    memory_ops: 2,
+                    atomics: 3 * n,
+                }
+            }
+            _ => HandlerCost {
                 instructions: 8,
                 memory_ops: 0,
                 atomics: 0,
-            };
+            },
+        }
+    }
+}
+
+impl ValueHandler {
+    /// Profiles the destinations the executing lanes wrote; returns how
+    /// many (0 when no lane executed or nothing was written).
+    fn profile(&self, ctx: &SiteCtx<'_, '_>) -> Result<u32, MemError> {
+        // Lanes whose guard passed actually wrote their destinations.
+        let bp = ctx.warp_params();
+        let exec = bp.will_execute(ctx.trap)?;
+        if exec == 0 {
+            return Ok(0);
         }
         let leader = exec.trailing_zeros() as usize;
-        let rp = ctx
-            .register_params(leader)
-            .expect("register info requested");
-        let n = rp.num_dsts(ctx.trap);
+        let rp = ctx.warp_register_params().expect("register info requested");
+        let n = rp.num_dsts(ctx.trap, leader)?;
         if n == 0 {
-            return HandlerCost {
-                instructions: 8,
-                memory_ops: 0,
-                atomics: 0,
-            };
+            return Ok(0);
         }
-        let addr = ctx.params(leader).ins_addr(ctx.trap);
+        let addr = bp.ins_addr(ctx.trap, leader)?;
         let mut st = self.state.lock();
         let prof = st.instrs.entry(addr).or_default();
         prof.weight += 1;
         for d in 0..n {
-            let reg_num = rp.reg_num(ctx.trap, d);
+            let reg_num = rp.reg_num(ctx.trap, leader, d)?;
             if prof.dsts.len() <= d as usize {
                 prof.dsts.push(DstProfile::new(reg_num));
             }
             let slot = &mut prof.dsts[d as usize];
-            // int leaderValue = __shfl(valueInReg, firstActiveThread);
-            let leader_value = sassi::RegisterParamsView::new(ctx.trap, leader).value(ctx.trap, d);
-            let mut all_same = true;
+            let values = rp.values(ctx.trap, exec, d)?;
+            // atomicAnd(&constantOnes, v); atomicAnd(&constantZeros, ~v);
+            // and every value equals the leader's __shfl exactly when the
+            // lanes' AND equals their OR.
+            let (mut all, mut any) = (u32::MAX, 0);
             for lane in sassi_isa::lanes(exec) {
-                let v = sassi::RegisterParamsView::new(ctx.trap, lane).value(ctx.trap, d);
-                // atomicAnd(&constantOnes, v); atomicAnd(&constantZeros, ~v);
-                slot.constant_ones &= v;
-                slot.constant_zeros &= !v;
-                all_same &= v == leader_value;
+                all &= values[lane];
+                any |= values[lane];
             }
+            slot.constant_ones &= all;
+            slot.constant_zeros &= !any;
             // atomicAnd(&isScalar, __all(v == leaderValue));
-            slot.is_scalar &= all_same;
+            slot.is_scalar &= all == any;
         }
-        // Figure 9's loop costs ~14 instructions + 3 atomics per
-        // destination, plus hashing overhead.
-        HandlerCost {
-            instructions: 12 + 14 * n,
-            memory_ops: 2,
-            atomics: 3 * n,
-        }
+        Ok(n)
     }
 }
 
