@@ -11,7 +11,10 @@
 //! share. `alu_full_mask` runs ALU µops with every lane active,
 //! `alu_half_mask` the same µops guarded to half the warp, and
 //! `spill_fill` saves and restores 16 registers at one stack offset,
-//! as an instrumentation trampoline does. `trampoline_full_mask` runs
+//! as an instrumentation trampoline does, and `spill_fill_one_uop_runs`
+//! the same in a module that also holds an unreached consuming atomic,
+//! so that every µop is a run of its own and each spill or fill is run
+//! as a local span of one µop. `trampoline_full_mask` runs
 //! the code SASSI inserts at one site (a real `Sassi::apply` of a
 //! one-instruction kernel, calling a no-op handler), and
 //! `trampoline_half_mask` the same with half the warp exited, as
@@ -23,8 +26,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
 use sassi_isa::{
-    CmpOp, Function, FunctionMeta, Gpr, Guard, Instr, Label, LogicOp, MemAddr, MemWidth, Op,
-    PredReg, SpecialReg, Src,
+    AtomOp, CmpOp, Function, FunctionMeta, Gpr, Guard, Instr, Label, LogicOp, MemAddr, MemWidth,
+    Op, PredReg, SpecialReg, Src,
 };
 use sassi_kir::{Compiler, KernelBuilder};
 use sassi_sim::{Device, ExecMode, HandlerRuntime, LaunchDims, LinkedFunction, Module, NoHandlers};
@@ -167,8 +170,10 @@ const INTERP_ITERS: u32 = 64;
 
 /// A raw SASS kernel `k`: seed R2..R17 per lane, set `P0` on lanes
 /// 0..16 (and exit lanes 16..32 if `half_warp`), run `body`
-/// `INTERP_ITERS` times in a uniform loop, exit.
-fn interp_kernel(body: Vec<Instr>, half_warp: bool) -> Module {
+/// `INTERP_ITERS` times in a uniform loop, exit. With `one_uop_runs`,
+/// an unreached consuming global atomic follows the `EXIT`, which
+/// makes every µop of the module the last of its run.
+fn interp_kernel(body: Vec<Instr>, half_warp: bool, one_uop_runs: bool) -> Module {
     let r = Gpr::new;
     let mut code = vec![
         Instr::new(Op::S2R {
@@ -224,6 +229,16 @@ fn interp_kernel(body: Vec<Instr>, half_warp: bool) -> Module {
         },
     ));
     code.push(Instr::new(Op::Exit));
+    if one_uop_runs {
+        code.push(Instr::new(Op::Atom {
+            d: r(2),
+            op: AtomOp::Add,
+            addr: MemAddr::global(r(4), 0),
+            v: r(2),
+            v2: None,
+            wide: false,
+        }));
+    }
     let f = LinkedFunction {
         name: "k".to_string(),
         entry: 0,
@@ -233,7 +248,12 @@ fn interp_kernel(body: Vec<Instr>, half_warp: bool) -> Module {
             ..FunctionMeta::default()
         },
     };
-    Module::from_parts(code, vec![f], BTreeMap::new())
+    let module = Module::from_parts(code, vec![f], BTreeMap::new());
+    assert_eq!(
+        module.decoded().has_consuming_global_atomics(),
+        one_uop_runs
+    );
+    module
 }
 
 /// Sixteen dependent integer ALU µops over R2..R9 under `guard`.
@@ -390,40 +410,45 @@ fn bench_interp(c: &mut Criterion) {
     let (tramp_half, mut sassi_half) = trampoline_body();
     let (regs_full, mut sassi_regs_full) = trampoline_regs_body();
     let (regs_half, mut sassi_regs_half) = trampoline_regs_body();
-    let cases: [(&str, Module, &mut dyn HandlerRuntime); 7] = [
+    let cases: [(&str, Module, &mut dyn HandlerRuntime); 8] = [
         (
             "alu_full_mask",
-            interp_kernel(alu_body(Guard::ALWAYS), false),
+            interp_kernel(alu_body(Guard::ALWAYS), false, false),
             &mut NoHandlers,
         ),
         (
             "alu_half_mask",
-            interp_kernel(alu_body(Guard::on(PredReg::new(0))), false),
+            interp_kernel(alu_body(Guard::on(PredReg::new(0))), false, false),
             &mut NoHandlers,
         ),
         (
             "spill_fill",
-            interp_kernel(spill_fill_body(), false),
+            interp_kernel(spill_fill_body(), false, false),
+            &mut NoHandlers,
+        ),
+        (
+            "spill_fill_one_uop_runs",
+            interp_kernel(spill_fill_body(), false, true),
             &mut NoHandlers,
         ),
         (
             "trampoline_full_mask",
-            interp_kernel(tramp_full, false),
+            interp_kernel(tramp_full, false, false),
             &mut sassi_full,
         ),
         (
             "trampoline_half_mask",
-            interp_kernel(tramp_half, true),
+            interp_kernel(tramp_half, true, false),
             &mut sassi_half,
         ),
         (
             "trampoline_regs_full_mask",
-            interp_kernel(regs_full, false),
+            interp_kernel(regs_full, false, false),
             &mut sassi_regs_full,
         ),
         (
             "trampoline_regs_half_mask",
-            interp_kernel(regs_half, true),
+            interp_kernel(regs_half, true, false),
             &mut sassi_regs_half,
         ),
     ];

@@ -42,11 +42,6 @@ impl<'c> SiteCtx<'_, 'c> {
         self.trap.active_lanes()
     }
 
-    /// Calls `f` for each active lane in ascending order.
-    pub fn for_each_active(&self, f: impl FnMut(usize)) {
-        self.trap.for_each_active(f)
-    }
-
     /// The first active lane — the leader the paper's handlers elect
     /// with `__ffs(__ballot(1)) - 1`.
     pub fn leader(&self) -> Option<usize> {

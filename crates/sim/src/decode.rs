@@ -23,8 +23,10 @@
 //! * the ALU dependence latency and the [`IssueClass`] are
 //!   precomputed into header bytes;
 //! * maximal runs of local spills, fills and constant stores off one
-//!   base register are marked as *local spans* ([`DecodedInstr::span`]),
-//!   which the run loop may execute as one step;
+//!   base register, a lone spill or fill included, are marked as
+//!   *local spans* ([`DecodedInstr::span`]); a span is the only shape
+//!   of local access the run loop executes as rows, one step per span,
+//!   and every other local access runs lane by lane;
 //! * instrumentation trap sites (`JCAL handlerN`) are recorded in a
 //!   per-module site table sorted by pc, so SASSI's *selective
 //!   instrumentation* property — uninstrumented instructions pay
@@ -359,8 +361,10 @@ pub struct DecodedInstr {
     /// maximal run, under one guard and off one base register, of
     /// 32-, 64- or 128-bit local loads, or of such local stores and
     /// immediate moves, at 4-aligned offsets: a trampoline's spills,
-    /// fills and parameter stores. The decoded run loop may run a span
-    /// as one step.
+    /// fills and parameter stores, or a lone spill or fill (a span of
+    /// 1). The decoded run loop runs each span it reaches as one step,
+    /// cut at the end of the run, if the base checks out at run time;
+    /// a local access outside every span runs lane by lane.
     pub span: u8,
     /// The operation.
     pub uop: UOp,
@@ -424,7 +428,7 @@ impl BasicBlock {
 /// whether they store, and the byte range `[lo, hi)` their accesses
 /// cover relative to that register's value. Only the decoded run loop
 /// reads it, and only at a pc whose [`DecodedInstr::span`] is at least
-/// 2.
+/// 1.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LocalSpan {
     pub(crate) base: Gpr,

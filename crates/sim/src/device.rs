@@ -646,10 +646,10 @@ impl Exec<'_> {
     /// written.
     ///
     /// In `Decoded` mode every warp-local µop (see [`Exec::exec_warp`])
-    /// runs in [`Exec::run_warp_local`]'s loop, the run's last µop
-    /// included, and only the µops that need the SM go through
-    /// `step_decoded`; in `Reference` mode every µop goes through
-    /// `step_reference`.
+    /// and every local span (see [`exec_span`]) runs in
+    /// [`Exec::run_warp_local`]'s loop, the run's last µop included,
+    /// and only the µops that need the SM go through `step_decoded`; in
+    /// `Reference` mode every µop goes through `step_reference`.
     fn step_block(&mut self, wi: usize) -> Result<(), FaultKind> {
         // The extent is asked from the *current* pc: jumps into the
         // middle of a run execute only its remaining suffix.
@@ -661,9 +661,8 @@ impl Exec<'_> {
         };
         let decoded = self.mode == ExecMode::Decoded;
         let mut block_ready = 0u64;
-        let mut plain_until = 0u32;
         loop {
-            if decoded && self.run_warp_local(wi, end, &mut block_ready, &mut plain_until) {
+            if decoded && self.run_warp_local(wi, end, &mut block_ready) {
                 break;
             }
             let pc = self.warps[wi].pc;
@@ -694,46 +693,41 @@ impl Exec<'_> {
 
     /// The decoded run loop: runs warp `wi`'s warp-local µops with the
     /// warp, stats and cycle borrowed once, until the pc reaches `end`
-    /// (`true`) or [`Exec::exec_warp`] declines a µop (`false`). Each
-    /// µop bumps the stats and cycle as `step_decoded` does and folds
-    /// its `cycle + lat.max(1)` into `block_ready` as `step_block` does.
+    /// (`true`) or a µop needs the SM (`false`). Each µop bumps the
+    /// stats and cycle as `step_decoded` does and folds its `cycle +
+    /// lat.max(1)` into `block_ready` as `step_block` does.
     ///
-    /// At a pc that starts a local span of at least two µops (see
-    /// [`DecodedInstr::span`]) inside the run, [`exec_span`] runs the
-    /// span as one step. If it declines, the span's µops run one by one
-    /// and `plain_until` (kept by `step_block` across the calls of one
-    /// run) stops the pcs inside it from trying again.
-    fn run_warp_local(
-        &mut self,
-        wi: usize,
-        end: u32,
-        block_ready: &mut u64,
-        plain_until: &mut u32,
-    ) -> bool {
+    /// At every pc inside a local span (see [`DecodedInstr::span`]),
+    /// [`exec_span`] runs the span's µops up to `end` as one step, a
+    /// lone spill or fill included. If it declines, the µop at the pc
+    /// runs alone: an immediate move in [`Exec::exec_warp`], a local
+    /// access per lane in `step_decoded`; the next pc tries its own
+    /// suffix of the span.
+    fn run_warp_local(&mut self, wi: usize, end: u32, block_ready: &mut u64) -> bool {
         let dm: &DecodedModule = self.decoded;
         let env = WarpEnv {
             cbank: self.cbank,
             ctas: self.ctas,
             sm: self.sm_id,
             dims: &self.dims,
-            local_lat: self.hier.local_latency().max(2),
         };
+        // What a local access costs, as `mem_latency` charges it.
+        let local_lat = self.hier.local_latency().max(2);
         let w = &mut self.warps[wi];
         let stats = &mut self.stats;
         let mut cycle = self.cycle;
         let done = loop {
             let Some(di) = dm.get(w.pc) else { break false };
             let mask = guard_mask(w, di.guard);
-            if di.span >= 2 && w.pc >= *plain_until {
+            if di.span != 0 {
                 let n = (di.span as u32).min(end - w.pc);
-                if n >= 2 && exec_span(dm, w, mask, n, env.local_lat, cycle, stats, block_ready) {
+                if exec_span(dm, w, mask, n, local_lat, cycle, stats, block_ready) {
                     cycle += n as u64;
                     if w.pc >= end {
                         break true;
                     }
                     continue;
                 }
-                *plain_until = w.pc + di.span as u32;
             }
             let Some(lat) = Self::exec_warp(&env, w, di, mask, cycle) else {
                 break false;
@@ -833,8 +827,9 @@ impl Exec<'_> {
     /// Executes one µop that [`Exec::exec_warp`] declines, with no
     /// allocation, no `Instr` clone and no operand re-matching: control
     /// flow, `BAR`, traps, `MEMBAR`, atomics, global, shared and
-    /// generic memory, and local accesses off the row path. Returns the
-    /// µop's latency; [`Exec::step_block`] folds it into `ready_at`.
+    /// generic memory, and the local accesses no local span ran (see
+    /// [`exec_span`]), per lane. Returns the µop's latency;
+    /// [`Exec::step_block`] folds it into `ready_at`.
     ///
     /// Kept out of line: inlined into the scheduler loop, it cost
     /// perfbench's `native` about 8% of its runs per second on a
@@ -979,12 +974,13 @@ impl Exec<'_> {
     }
 
     /// The decoded executor of the warp-local µops, which need only the
-    /// warp and `env`: ALU, `S2R`, `VOTE`, `SHFL`, and local `LD`/`ST`
-    /// on the row path (see [`local_rows`]). Returns the µop's latency,
-    /// or `None`, having done nothing, for any other µop, a local access
-    /// that would fault included. Operand rows are copied out first, so
-    /// a destination may alias any operand, and a full mask fills the
-    /// destination row in one loop over the lanes (see [`write_lanes`]).
+    /// warp's registers and `env` and touch no memory: ALU, `S2R`,
+    /// `VOTE`, `SHFL` and `NOP`. Returns the µop's latency, or `None`,
+    /// having done nothing, for any other µop, a local access included
+    /// (local spans run in [`exec_span`]). Operand rows are copied out
+    /// first, so a destination may alias any operand, and a full mask
+    /// fills the destination row in one loop over the lanes (see
+    /// [`write_lanes`]).
     fn exec_warp(
         env: &WarpEnv,
         w: &mut Warp,
@@ -1270,14 +1266,6 @@ impl Exec<'_> {
                     write_pred_lanes(w, mask, p, |l| from(l).is_some());
                 }
             }
-            UOp::Ld { d, width, addr } => {
-                let (off, n) = local_rows(w, mask, width, &addr)?;
-                return w.load_local_rows(mask, off, d, n).then_some(env.local_lat);
-            }
-            UOp::St { v, width, addr } => {
-                let (off, n) = local_rows(w, mask, width, &addr)?;
-                return w.store_local_rows(mask, off, v, n).then_some(env.local_lat);
-            }
             UOp::Nop => {}
             _ => return None,
         }
@@ -1290,7 +1278,6 @@ impl Exec<'_> {
             ctas: self.ctas,
             sm: self.sm_id,
             dims: &self.dims,
-            local_lat: self.hier.local_latency().max(2),
         };
         special_value(&env, w, self.cycle, lane, sr)
     }
@@ -1336,8 +1323,8 @@ impl Exec<'_> {
         }
     }
 
-    /// `LD` in the decoded interpreter, for the loads `exec_warp`
-    /// declines, dispatched once on the static address space. A
+    /// `LD` in the decoded interpreter, for the loads no local span
+    /// ran, dispatched once on the static address space. A
     /// static-`Global` load whose lanes fall in one allocation is
     /// checked once (see [`Exec::global_load`]); every other load runs
     /// [`Exec::mem_load_lanes`]. Returns the load's latency.
@@ -1389,7 +1376,7 @@ impl Exec<'_> {
 
     /// `LD`, one lane at a time, in any address space: the reference
     /// interpreter's load, and the decoded one's for `Shared` and
-    /// `Generic` addresses, local loads off the row path and global
+    /// `Generic` addresses, local loads outside a local span and global
     /// loads off the window path. Returns the load's latency.
     pub(super) fn mem_load_lanes(
         &mut self,
@@ -1447,8 +1434,8 @@ impl Exec<'_> {
         ))
     }
 
-    /// `ST` in the decoded interpreter, for the stores `exec_warp`
-    /// declines, dispatched as in [`Exec::mem_load`].
+    /// `ST` in the decoded interpreter, for the stores no local span
+    /// ran, dispatched as in [`Exec::mem_load`].
     fn mem_store(
         &mut self,
         wi: usize,
@@ -1493,7 +1480,7 @@ impl Exec<'_> {
 
     /// `ST`, one lane at a time, in any address space: the reference
     /// interpreter's store, and the decoded one's for `Shared` and
-    /// `Generic` addresses, local stores off the row path and global
+    /// `Generic` addresses, local stores outside a local span and global
     /// stores off the window path. Returns the store's latency.
     pub(super) fn mem_store_lanes(
         &mut self,
@@ -1797,9 +1784,6 @@ struct WarpEnv<'e> {
     ctas: &'e [Cta],
     sm: u32,
     dims: &'e LaunchDims,
-    /// What a local access costs: `max(2, hier.local_latency())`, as
-    /// [`Exec::mem_latency`] charges it.
-    local_lat: u64,
 }
 
 /// Lane `lane`'s value of special register `sr` in warp `w` at `cycle`.
@@ -1870,33 +1854,20 @@ fn global_addrs(
     (addrs, n, span)
 }
 
-/// The slab offset and word count of a local access on the row path:
-/// a 32-, 64- or 128-bit `Local` access that every active lane makes
-/// at one 4-aligned offset, as every trampoline spill, fill and
-/// parameter store does. `None` sends the access to the per-lane loop.
-#[inline(always)]
-fn local_rows(w: &Warp, mask: LaneMask, width: MemWidth, addr: &MemAddr) -> Option<(u32, u8)> {
-    if addr.space != AddrSpace::Local
-        || !matches!(width, MemWidth::B32 | MemWidth::B64 | MemWidth::B128)
-    {
-        return None;
-    }
-    w.uniform_reg(mask, addr.base)
-        .map(|b| b.wrapping_add(addr.offset as u32))
-        .filter(|a| a.is_multiple_of(4))
-        .map(|a| (a, width.regs()))
-}
-
 /// Runs the `n` µops of the local span at `w.pc` (see
 /// [`DecodedInstr::span`]) under the guard mask `mask` as one step: one
 /// uniformity and alignment check of the base row and one bounds check
 /// of the span's lowest and highest byte, then each µop in order, a
 /// masked row copy per word or an immediate fill. Stats, `w.pc` and
 /// `block_ready` end as the µops run one by one in the run loop from
-/// `cycle` leave them; the caller adds the `n` cycles. Returns `false`,
-/// having done nothing, if any access of the span is off the row path
-/// or would fault, so that the µops run one by one and fault exactly
-/// where they would.
+/// `cycle` leave them; the caller adds the `n` cycles. This is the only
+/// row path of a local access: decode marks every access that can take
+/// it, and this checks at run time what decode cannot. Returns `false`,
+/// having done nothing, if the base is not uniform over `mask` or not
+/// 4-aligned, or any access of the span would leave the slab. The µop
+/// at `w.pc` then runs alone, a local access per lane as the reference
+/// interpreter runs it: the same words, the same first-lane fault and
+/// the same latency.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn exec_span(

@@ -120,16 +120,6 @@ impl TrapCtx<'_> {
         lanes(self.warp.active)
     }
 
-    /// Calls `f` for each active lane in ascending order — the fast
-    /// path for handlers that only need a per-lane visit.
-    pub fn for_each_active(&self, mut f: impl FnMut(usize)) {
-        let mut m = self.warp.active;
-        while m != 0 {
-            f(m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-    }
-
     /// The first active lane (handler "leader").
     pub fn leader(&self) -> Option<usize> {
         self.warp.leader()
@@ -205,7 +195,8 @@ impl TrapCtx<'_> {
         match resolve_generic(addr) {
             Some((AddrSpace::Local, off)) if off.is_multiple_of(4) => self
                 .warp
-                .local_word(lane, off)
+                .local_row(off)
+                .map(|row| row[lane])
                 .ok_or(MemError::OutOfBounds { addr }),
             Some((AddrSpace::Local, off)) => {
                 let mut buf = [0u8; 4];
@@ -226,17 +217,6 @@ impl TrapCtx<'_> {
             Some((AddrSpace::Global, a)) => self.mem.read_u32(a),
             _ => Err(MemError::OutOfBounds { addr }),
         }
-    }
-
-    /// Reads a `u64` through a lane's generic address.
-    ///
-    /// # Errors
-    ///
-    /// As [`TrapCtx::read_generic_u32`].
-    pub fn read_generic_u64(&self, lane: usize, addr: u64) -> Result<u64, MemError> {
-        let lo = self.read_generic_u32(lane, addr)? as u64;
-        let hi = self.read_generic_u32(lane, addr + 4)? as u64;
-        Ok(lo | (hi << 32))
     }
 
     /// Checks once for the warp where the parameter object ABI pair
@@ -344,39 +324,6 @@ impl TrapCtx<'_> {
             MemError::Misaligned { addr, .. } => FaultKind::Misaligned { addr },
             MemError::OutOfMemory => FaultKind::MemViolation { addr: 0 },
         }));
-    }
-
-    /// Writes a `u32` through a lane's generic address.
-    ///
-    /// # Errors
-    ///
-    /// As [`TrapCtx::read_generic_u32`].
-    pub fn write_generic_u32(&mut self, lane: usize, addr: u64, v: u32) -> Result<(), MemError> {
-        match resolve_generic(addr) {
-            Some((AddrSpace::Local, off)) => {
-                if self.warp.write_local(lane, off, &v.to_le_bytes()) {
-                    Ok(())
-                } else {
-                    Err(MemError::OutOfBounds { addr })
-                }
-            }
-            Some((AddrSpace::Shared, off)) => {
-                let off = off as usize;
-                if off + 4 > self.shared.len() {
-                    return Err(MemError::OutOfBounds { addr });
-                }
-                self.shared[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                Ok(())
-            }
-            Some((AddrSpace::Global, a)) => self.mem.write_u32(a, v),
-            _ => Err(MemError::OutOfBounds { addr }),
-        }
-    }
-
-    /// The generic address of a lane's current stack pointer — useful in
-    /// tests for locating trampoline-allocated objects.
-    pub fn stack_generic_addr(&self, lane: usize) -> u64 {
-        GENERIC_LOCAL_TAG | self.warp.reg(lane, Gpr::SP) as u64
     }
 }
 

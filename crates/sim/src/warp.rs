@@ -125,7 +125,7 @@ impl Warp {
             regs: vec![0; 32 * regs_per_thread as usize],
             preds: [0; 32],
             cc: [false; 32],
-            local: vec![0; 32 * local_words(local_bytes)],
+            local: vec![0; 32 * slab_words(local_bytes)],
             local_bytes,
             local_lo: local_bytes,
         };
@@ -175,7 +175,7 @@ impl Warp {
         if self.local_bytes != local_bytes {
             self.local_bytes = local_bytes;
             self.local.clear();
-            self.local.resize(32 * local_words(local_bytes), 0);
+            self.local.resize(32 * slab_words(local_bytes), 0);
         } else if self.local_lo < local_bytes {
             self.local[32 * (self.local_lo as usize / 4)..].fill(0);
         }
@@ -340,31 +340,8 @@ impl Warp {
 
     /// Loads `n` words at the 4-aligned offset `off`, the same for
     /// every lane of `mask`, into the register group starting at `d`:
-    /// one masked row copy per word. Returns `false`, loading nothing,
-    /// if the words do not fit the slab.
-    pub(crate) fn load_local_rows(&mut self, mask: LaneMask, off: u32, d: Gpr, n: u8) -> bool {
-        if !self.fits(off as u64, 4 * n as usize) {
-            return false;
-        }
-        self.load_words(mask, off, d, n);
-        true
-    }
-
-    /// Stores the register group starting at `v` (`n` words) at the
-    /// 4-aligned offset `off`, the same for every lane of `mask`: one
-    /// masked row copy per word. Returns `false`, storing nothing, if
-    /// the words do not fit the slab.
-    pub(crate) fn store_local_rows(&mut self, mask: LaneMask, off: u32, v: Gpr, n: u8) -> bool {
-        if !self.fits(off as u64, 4 * n as usize) {
-            return false;
-        }
-        self.note_local_write(off);
-        self.store_words(mask, off, v, n);
-        true
-    }
-
-    /// [`Warp::load_local_rows`] for words the caller has checked fit
-    /// the slab.
+    /// one masked row copy per word. The caller has checked that the
+    /// words fit the slab.
     #[inline(always)]
     pub(crate) fn load_words(&mut self, mask: LaneMask, off: u32, d: Gpr, n: u8) {
         debug_assert!(off.is_multiple_of(4) && self.fits(off as u64, 4 * n as usize));
@@ -377,8 +354,10 @@ impl Warp {
         }
     }
 
-    /// [`Warp::store_local_rows`] for words the caller has checked fit
-    /// the slab and recorded with [`Warp::note_local_write`].
+    /// Stores the register group starting at `v` (`n` words) at the
+    /// 4-aligned offset `off`, the same for every lane of `mask`: one
+    /// masked row copy per word. The caller has checked that the words
+    /// fit the slab and recorded them with [`Warp::note_local_write`].
     #[inline(always)]
     pub(crate) fn store_words(&mut self, mask: LaneMask, off: u32, v: Gpr, n: u8) {
         debug_assert!(off.is_multiple_of(4) && off >= self.local_lo);
@@ -397,14 +376,6 @@ impl Warp {
     #[inline(always)]
     pub(crate) fn note_local_write(&mut self, off: u32) {
         self.local_lo = self.local_lo.min(off);
-    }
-
-    /// Lane `lane`'s slab word at the 4-aligned offset `off`, or `None`
-    /// if it does not fit the slab: [`Warp::read_local`] of 4 bytes in
-    /// one read.
-    #[inline]
-    pub(crate) fn local_word(&self, lane: usize, off: u64) -> Option<u32> {
-        self.local_row(off).map(|row| row[lane])
     }
 
     /// The slab word at the 4-aligned offset `off` of every lane, one
@@ -517,7 +488,7 @@ impl Warp {
 }
 
 /// Word rows a slab of `local_bytes` bytes spans.
-fn local_words(local_bytes: u32) -> usize {
+fn slab_words(local_bytes: u32) -> usize {
     local_bytes.div_ceil(4) as usize
 }
 
@@ -678,7 +649,8 @@ mod tests {
         assert!(used.write_local(31, 252, &[0x77; 4]));
         // A cross-word byte write and a warp-wide row spill.
         assert!(used.write_local(9, 61, &[0x44; 6]));
-        assert!(used.store_local_rows(u32::MAX, 200, Gpr::new(7), 2));
+        used.note_local_write(200);
+        used.store_words(u32::MAX, 200, Gpr::new(7), 2);
         used.push_ssy(40);
         used.call_stack.push(9);
         used.exit_lanes(0xffff_ffff);
@@ -773,24 +745,24 @@ mod tests {
             w.set_reg(lane, Gpr::new(4), 100 + lane as u32);
             w.set_reg(lane, Gpr::new(5), 200 + lane as u32);
         }
-        // Half the warp spills R4:R5 to the slab top.
-        assert!(w.store_local_rows(0x0000_ffff, 248, Gpr::new(4), 2));
+        // Half the warp spills R4:R5 to the slab top. (A group past the
+        // slab never gets here: the run loop checks the bounds first,
+        // see `warp_state_equiv.rs`.)
+        w.note_local_write(248);
+        w.store_words(0x0000_ffff, 248, Gpr::new(4), 2);
         assert_eq!(w.local_lo, 248);
         // Word 62 (offset 248) of lane `l` is `local[32 * 62 + l]`.
         let word = |w: &Warp, lane: usize, k: usize| w.local[32 * (62 + k) + lane];
         assert_eq!((word(&w, 3, 0), word(&w, 3, 1)), (103, 203));
         assert_eq!((word(&w, 20, 0), word(&w, 20, 1)), (0, 0));
-        // A group past the slab stores nothing.
-        assert!(!w.store_local_rows(u32::MAX, 252, Gpr::new(4), 2));
-        assert_eq!(word(&w, 20, 1), 0);
         // Filling into RZ drops the word; the pair's other half lands.
-        assert!(w.load_local_rows(u32::MAX, 248, Gpr::new(8), 2));
+        w.load_words(u32::MAX, 248, Gpr::new(8), 2);
         assert_eq!(w.reg(3, Gpr::new(8)), 103);
         assert_eq!(w.reg(3, Gpr::new(9)), 203);
         assert_eq!(w.reg(20, Gpr::new(9)), 0);
-        assert!(w.load_local_rows(u32::MAX, 248, Gpr::RZ, 2));
+        w.load_words(u32::MAX, 248, Gpr::RZ, 2);
         // RZ stores zeros in every word of the group.
-        assert!(w.store_local_rows(u32::MAX, 248, Gpr::RZ, 2));
+        w.store_words(u32::MAX, 248, Gpr::RZ, 2);
         assert_eq!((word(&w, 3, 0), word(&w, 3, 1)), (0, 0));
     }
 

@@ -578,10 +578,15 @@ fn sm_side_uop_latencies_in_cycles() {
 /// latency. Each one-warp kernel is the span from pc 0, a `BRA`
 /// closing its run and `EXIT`, so the launch takes `k` cycles for the
 /// span, then the `EXIT` at the span's ready time, `k - 1 + 28`, and
-/// one more cycle: `k + 28`.
+/// one more cycle: `k + 28`. A lone spill or fill is a span of one.
+///
+/// In a module with a consuming global atomic (unreached here) every
+/// run is one µop, so the span runs one µop per run, each issued at
+/// the last one's ready time: µop `i` at `28 i`, the `BRA` at `28 k`
+/// and the `EXIT` at its ready time, `28 k + 2`, for `28 k + 3`.
 #[test]
 fn local_span_cycles_and_ready_time() {
-    use sassi_isa::{Gpr, MemAddr, MemWidth};
+    use sassi_isa::{AtomOp, Gpr, MemAddr, MemWidth};
     let r = Gpr::new;
     let stl = |v: u8, off: i32| Op::St {
         v: r(v),
@@ -619,12 +624,15 @@ fn local_span_cycles_and_ready_time() {
             .collect::<Vec<_>>()
     };
     let cases = [
-        ("2 spills", spills(2)),
-        ("8 spills", spills(8)),
-        ("5 fills", fills(5)),
-        ("3 MOV32I/STL pairs", pairs(3)),
+        ("a lone spill", spills(1), false),
+        ("a lone fill", fills(1), false),
+        ("2 spills", spills(2), false),
+        ("8 spills", spills(8), false),
+        ("5 fills", fills(5), false),
+        ("3 MOV32I/STL pairs", pairs(3), false),
+        ("3 spills in one-µop runs", spills(3), true),
     ];
-    for (name, span) in cases {
+    for (name, span, one_uop_runs) in cases {
         let k = span.len() as u32;
         let mut ops = span;
         ops.push(Op::Bra {
@@ -632,8 +640,21 @@ fn local_span_cycles_and_ready_time() {
             uniform: true,
         });
         ops.push(Op::Exit);
+        if one_uop_runs {
+            ops.push(Op::Atom {
+                d: r(2),
+                op: AtomOp::Add,
+                addr: MemAddr::global(r(4), 0),
+                v: r(2),
+                v2: None,
+                wide: false,
+            });
+        }
         let module = raw_module(ops.into_iter().map(Instr::new).collect());
-        assert_eq!(module.decoded().get(0).unwrap().span as u32, k, "{name}");
+        let dm = module.decoded();
+        assert_eq!(dm.get(0).unwrap().span as u32, k, "{name}");
+        assert_eq!(dm.has_consuming_global_atomics(), one_uop_runs, "{name}");
+        let cycles = if one_uop_runs { 28 * k + 3 } else { k + 28 };
         for mode in [ExecMode::Decoded, ExecMode::Reference] {
             let mut dev = Device::with_defaults();
             dev.exec_mode = mode;
@@ -649,7 +670,7 @@ fn local_span_cycles_and_ready_time() {
                 )
                 .unwrap();
             assert!(res.is_ok(), "{name} ({mode:?}): {:?}", res.outcome);
-            assert_eq!(res.stats.cycles, k as u64 + 28, "{name} ({mode:?}): cycles");
+            assert_eq!(res.stats.cycles, cycles as u64, "{name} ({mode:?}): cycles");
             assert_eq!(res.stats.warp_instrs, k as u64 + 2, "{name} ({mode:?})");
             assert_eq!(
                 res.stats.thread_instrs,

@@ -5,20 +5,24 @@
 //! `LaunchResult` (outcome, fault pc and cycles included) and the same
 //! global output. The decoded interpreter runs every warp-local µop in
 //! its run loop, with its row paths (full-mask ALU loops, one masked
-//! row copy per word for a spill every lane makes at one offset) where
-//! they apply; the reference interpreter runs every lane of every µop
-//! on its own.
+//! row copy per word for a local span every lane makes at one offset)
+//! where they apply; the reference interpreter runs every lane of
+//! every µop on its own.
 //!
 //! The blocks vary the access width (8 to 128 bits), aligned,
 //! unaligned and cross-word offsets, one slab offset for all lanes or
 //! one per lane, accesses at and past the slab's top word, `d == a ==
 //! b` aliasing and `RZ` operands, and full, half, one-lane and empty
-//! guard masks. A block may end in a loop back to a branch target
-//! inside it, and may run in a module whose runs are one µop long (a
-//! consuming global atomic anywhere in a module makes every µop the
-//! last of its run), so every kind of warp-local µop also ends runs
-//! and sits right before a branch target. The snapshots make a fault
-//! mid-run show what memory held when it struck.
+//! guard masks. They also draw the local accesses that run per lane
+//! although every lane makes them at one aligned offset: off a base
+//! that is not 4-aligned, at an offset that makes the address aligned,
+//! and a load into its own base register. A block may end in a loop
+//! back to a branch target inside it, and may run in a module whose
+//! runs are one µop long (a consuming global atomic anywhere in a
+//! module makes every µop the last of its run), so every kind of
+//! warp-local µop also ends runs and sits right before a branch
+//! target. The snapshots make a fault mid-run show what memory held
+//! when it struck.
 
 use proptest::prelude::*;
 use sassi_isa::{
@@ -64,19 +68,39 @@ fn width_strategy() -> impl Strategy<Value = MemWidth> {
 }
 
 /// A local address: `R1` (the stack pointer, the same for every lane)
-/// half the time, else `R16` (a distinct 8-aligned offset per lane) or
-/// `R17` (a distinct offset of every alignment per lane), minus `k`
-/// bytes. `k` is below 16 one time in four, so `R1 - k` reaches the
-/// slab's top word and, below the access width, runs past it.
+/// three times in eight, else `R16` (a distinct 8-aligned offset per
+/// lane) or `R17` (a distinct offset of every alignment per lane),
+/// minus `k` bytes. `k` is below 16 one time in four, so `R1 - k`
+/// reaches the slab's top word and, below the access width, runs past
+/// it. One time in eight the address is `R14 + 2 - 4 j` instead: `R14`
+/// is the same for every lane and ≡ 2 (mod 4), so the address is
+/// 4-aligned but its base is not, and no local span takes it.
 fn local_addr_strategy() -> impl Strategy<Value = MemAddr> {
-    let base = (0u8..4).prop_map(|b| match b {
-        0 => Gpr::new(16),
-        1 => Gpr::new(17),
-        _ => Gpr::SP,
-    });
     let k = (0u8..4, 0i32..16, 16i32..64)
         .prop_map(|(pick, near, far)| if pick == 0 { near } else { far });
-    (base, k).prop_map(|(b, k)| MemAddr::local(b, -k))
+    (0u8..8, k, 0i32..16).prop_map(|(b, k, j)| match b {
+        0 | 1 => MemAddr::local(Gpr::new(16), -k),
+        2 | 3 => MemAddr::local(Gpr::new(17), -k),
+        4 => MemAddr::local(misaligned_base(), 2 - 4 * j),
+        _ => MemAddr::local(Gpr::SP, -k),
+    })
+}
+
+/// `R14`, which the prologue sets to `R1 - 66`: the same for every
+/// lane, ≡ 2 (mod 4), and 64 bytes below the slab's top at offset 2.
+fn misaligned_base() -> Gpr {
+    Gpr::new(14)
+}
+
+/// `LDL R16, [R16+4]`: a 32-bit load into its own base register, which
+/// never joins a local span.
+fn self_base_load() -> Op {
+    Op::Ld {
+        d: Gpr::new(16),
+        width: MemWidth::B32,
+        addr: MemAddr::local(Gpr::new(16), 4),
+        spill: true,
+    }
 }
 
 /// A register operand four times in five, else an immediate.
@@ -175,22 +199,30 @@ fn alu_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A local store or load half the time each, except that one time in
+/// sixteen it is [`self_base_load`].
 fn local_strategy() -> impl Strategy<Value = Op> {
-    let r = reg_strategy;
-    prop_oneof![
-        (width_strategy(), r(), local_addr_strategy()).prop_map(|(width, v, addr)| Op::St {
-            v,
-            width,
-            addr,
-            spill: false,
-        }),
-        (width_strategy(), r(), local_addr_strategy()).prop_map(|(width, d, addr)| Op::Ld {
-            d,
-            width,
-            addr,
-            spill: false,
-        }),
-    ]
+    (
+        0u8..16,
+        width_strategy(),
+        reg_strategy(),
+        local_addr_strategy(),
+    )
+        .prop_map(|(pick, width, r, addr)| match pick {
+            0 => self_base_load(),
+            1..=8 => Op::St {
+                v: r,
+                width,
+                addr,
+                spill: false,
+            },
+            _ => Op::Ld {
+                d: r,
+                width,
+                addr,
+                spill: false,
+            },
+        })
 }
 
 /// The warp-local µops besides the ALU ones: `S2R` (the cycle counter
@@ -470,7 +502,7 @@ fn kernel(block: &[Instr], seeds: &[u32], shape: Shape) -> Module {
         code.push(mov(13, s));
         code.push(imad(4 + i as u8, 0, 2 * i as u32 + 0x9e37_79b1, 13));
     }
-    // R16 = SP - 8 - 8 * lane, R17 = SP - 16 - 3 * lane.
+    // R16 = SP - 8 - 8 * lane, R17 = SP - 16 - 3 * lane, R14 = SP - 66.
     code.push(mov(13, (-8i32) as u32));
     code.push(imad(16, 0, (-8i32) as u32, 13));
     code.push(Instr::new(Op::IAdd {
@@ -486,6 +518,13 @@ fn kernel(block: &[Instr], seeds: &[u32], shape: Shape) -> Module {
         d: Gpr::new(17),
         a: Gpr::new(17),
         b: Src::Reg(Gpr::SP),
+        x: false,
+        cc: false,
+    }));
+    code.push(Instr::new(Op::IAdd {
+        d: misaligned_base(),
+        a: Gpr::SP,
+        b: Src::Imm((-66i32) as u32),
         x: false,
         cc: false,
     }));
@@ -662,14 +701,24 @@ fn trampoline_shaped_blocks_cover_spans() {
 
 /// The generator reaches what the test is for: completed and faulting
 /// launches alike, in both shapes, with snapshots written before a
-/// fault.
+/// fault, and blocks holding the per-lane local accesses: one off the
+/// misaligned base, and a load into its own base.
 #[test]
 fn generated_blocks_cover_faults_and_completions() {
     let (mut ok, mut fault, mut one_uop, mut snapshot_then_fault) = (0, 0, 0, 0);
+    let (mut misaligned, mut self_base) = (0, 0);
     for case in 0..64 {
         let mut rng = TestRng::for_case(case);
         let block = prop::collection::vec(step_strategy(), 1..24).generate(&mut rng);
         let shape = shape_strategy().generate(&mut rng);
+        let local_base = |ins: &Instr| match ins.op {
+            Op::Ld { addr, .. } | Op::St { addr, .. } => Some(addr.base),
+            _ => None,
+        };
+        misaligned += block
+            .iter()
+            .any(|ins| local_base(ins) == Some(misaligned_base())) as u32;
+        self_base += block.iter().any(|ins| ins.op == self_base_load()) as u32;
         let (res, out) = run(
             &kernel(&block, &[1, 2, 3, 4, 5, 6, 7, 8], shape),
             ExecMode::Decoded,
@@ -683,9 +732,15 @@ fn generated_blocks_cover_faults_and_completions() {
         }
     }
     assert!(
-        ok > 16 && fault > 0 && snapshot_then_fault > 0 && one_uop > 16,
+        ok > 16
+            && fault > 0
+            && snapshot_then_fault > 0
+            && one_uop > 16
+            && misaligned > 8
+            && self_base > 8,
         "completed {ok}, faulted {fault} ({snapshot_then_fault} after a snapshot), \
-         {one_uop} with one-µop runs"
+         {one_uop} with one-µop runs, {misaligned} off the misaligned base, \
+         {self_base} with a load into its own base"
     );
 }
 
@@ -749,6 +804,78 @@ fn uniform_store_past_the_slab_faults_mid_run() {
         }),
     ];
     assert_fault_mid_run(block, 2, FaultKind::StackViolation { offset: 2044 });
+}
+
+/// A store off the misaligned base `R14` (`R1 - 66`) at offset 66 is
+/// 4-aligned, the same for every lane and one word past the slab: no
+/// local span takes it, and the per-lane store faults at its first
+/// lane, at the same pc and cycle in both modes.
+#[test]
+fn store_off_a_misaligned_base_faults_mid_run() {
+    let block = vec![
+        Instr::new(snapshot(4, 0)),
+        Instr::new(Op::St {
+            v: Gpr::new(6),
+            width: MemWidth::B32,
+            addr: MemAddr::local(misaligned_base(), 66),
+            spill: true,
+        }),
+        Instr::new(snapshot(5, 1)),
+    ];
+    assert_fault_mid_run(block, 1, FaultKind::StackViolation { offset: 2048 });
+}
+
+/// The local accesses every lane makes at one 4-aligned offset that
+/// run per lane: a store and a load off the misaligned base at offset
+/// 2, and `LDL R16, [R16+4]`, whose base is the same for the lanes of
+/// a one-lane guard. Both modes agree on the registers, the memory and
+/// the cycles, under a full and a one-lane guard, in both run shapes.
+#[test]
+fn per_lane_local_accesses_agree_across_modes() {
+    let r = Gpr::new;
+    for guard in [Guard::ALWAYS, Guard::on(PredReg::new(1))] {
+        let block: Vec<Instr> = [
+            Op::St {
+                v: r(4),
+                width: MemWidth::B64,
+                addr: MemAddr::local(misaligned_base(), 2),
+                spill: true,
+            },
+            Op::Ld {
+                d: r(8),
+                width: MemWidth::B128,
+                addr: MemAddr::local(misaligned_base(), -2),
+                spill: true,
+            },
+            self_base_load(),
+            snapshot(16, 0),
+        ]
+        .into_iter()
+        .map(|op| Instr::guarded(guard, op))
+        .collect();
+        for one_uop_runs in [false, true] {
+            let shape = Shape {
+                loop_from: None,
+                one_uop_runs,
+            };
+            let module = kernel(&block, &[1, 2, 3, 4, 5, 6, 7, 8], shape);
+            let dm = module.decoded();
+            let in_span = (0..dm.len() as u32).any(|pc| {
+                let di = dm.get(pc).unwrap();
+                let base = match di.uop {
+                    sassi_sim::UOp::Ld { addr, .. } | sassi_sim::UOp::St { addr, .. } => addr.base,
+                    _ => return false,
+                };
+                di.span != 0 && (base == misaligned_base() || base == r(16))
+            });
+            assert!(!in_span, "a span takes a per-lane access");
+            let (res_d, out_d) = run(&module, ExecMode::Decoded);
+            let (res_r, out_r) = run(&module, ExecMode::Reference);
+            assert!(res_d.is_ok(), "{guard:?} {shape:?}: {:?}", res_d.outcome);
+            assert_eq!(res_d, res_r, "{guard:?} {shape:?}: launch result diverges");
+            assert_eq!(out_d, out_r, "{guard:?} {shape:?}: global output diverges");
+        }
+    }
 }
 
 /// The load counterpart, under a half-warp guard.
