@@ -4,7 +4,10 @@
 //! reference (seed) interpreter on every kernel. Each of those
 //! iterations builds a fresh device; `sim/relaunch_floor` instead
 //! relaunches a one-store kernel on one warm device, timing the fixed
-//! cost every launch pays.
+//! cost every launch pays, and `sim/fresh_device_launch` builds a new
+//! default device and launches the same kernel once per iteration, as
+//! each run of an injection campaign does, so it times device set-up
+//! with SM slots recycled from the device dropped before it.
 //!
 //! The `interp/*` group times the interpreter alone: hand-written SASS
 //! loops relaunched on one warm device, so launch set-up is a small
@@ -162,6 +165,17 @@ fn bench_relaunch(c: &mut Criterion) {
     relaunch();
     let mut g = c.benchmark_group("sim");
     g.bench_function("relaunch_floor", |b| b.iter(&mut relaunch));
+    g.bench_function("fresh_device_launch", |b| {
+        b.iter(|| {
+            let mut dev = Device::with_defaults();
+            let out = dev.mem.alloc(dims.total_threads() * 4, 8).unwrap();
+            let res = dev
+                .launch(&module, "store", dims, &[out], &mut NoHandlers, 0, 1 << 20)
+                .unwrap();
+            assert!(res.is_ok());
+            res.stats.warp_instrs
+        })
+    });
     g.finish();
 }
 

@@ -44,7 +44,7 @@ use sassi_isa::{
 use sassi_mem::{
     apply_atom, DeviceMemory, HierarchyConfig, HierarchyStats, JournalOp, MemError, MemoryHierarchy,
 };
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 
 mod reference;
@@ -92,6 +92,12 @@ pub enum ExecMode {
 /// can allocate buffers once and run many kernels, CUDA-style. SM
 /// slots (warp contexts, CTA slots, cache hierarchies) also persist
 /// and are recycled, so relaunching does not reallocate warp state.
+///
+/// SM slots outlive their device: dropping a device hands its slots
+/// to the next device launched on the same thread, which takes them
+/// before it builds any. Every launch starts each slot from a state
+/// equal to a fresh one, so no result depends on where a slot came
+/// from.
 pub struct Device {
     /// Machine configuration.
     pub cfg: GpuConfig,
@@ -111,7 +117,8 @@ pub struct Device {
     warp_allocations: u64,
 }
 
-/// Persistent per-SM execution state, recycled across launches.
+/// Persistent per-SM execution state, recycled across launches and,
+/// through [`SPARE_SLOTS`], across devices.
 struct SmSlot {
     hier: MemoryHierarchy,
     warps: Vec<Warp>,
@@ -130,6 +137,14 @@ impl SmSlot {
             free_ctas: Vec::new(),
         }
     }
+}
+
+thread_local! {
+    /// SM slots of devices dropped on this thread, each device's slot 0
+    /// last, so a launch that takes from the top gets slots in their
+    /// old order. Never longer than the largest `num_sms` among the
+    /// dropped devices.
+    static SPARE_SLOTS: RefCell<Vec<SmSlot>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The launch-wide immutable inputs shared by every shard.
@@ -175,7 +190,10 @@ impl Device {
 
     /// Total fresh warp-context allocations since device creation.
     /// Relaunches reuse retired contexts, so this does not grow when
-    /// the same geometry is launched again.
+    /// the same geometry is launched again. Slots outlive their
+    /// device, so a device whose first launch recycles the slots of
+    /// one dropped earlier on its thread counts only the contexts those
+    /// slots lacked: 0 when they suffice.
     pub fn warp_allocations(&self) -> u64 {
         self.warp_allocations
     }
@@ -230,8 +248,18 @@ impl Device {
         }
 
         let num_shards = self.cfg.num_sms.min(total_blocks).max(1) as usize;
-        // `cfg` is public, so a slot built under an older hierarchy
-        // config is rebuilt rather than recycled.
+        // Take the slots of devices dropped on this thread before
+        // building any.
+        if self.slots.len() < num_shards {
+            let want = num_shards - self.slots.len();
+            SPARE_SLOTS.with_borrow_mut(|spare| {
+                let keep = spare.len().saturating_sub(want);
+                self.slots.extend(spare.drain(keep..).rev());
+            });
+        }
+        // `cfg` is public and spare slots come from other devices, so a
+        // slot built under another hierarchy config is rebuilt rather
+        // than recycled.
         for slot in self.slots.iter_mut().take(num_shards) {
             if slot.hier.config() != self.cfg.hierarchy {
                 *slot = SmSlot::new(self.cfg.hierarchy);
@@ -370,6 +398,25 @@ impl Device {
             stats,
             mem: mem_stats,
         })
+    }
+}
+
+impl Drop for Device {
+    /// Hands the SM slots to this thread's spare list. A device dropped
+    /// while its thread unwinds returns none: the panic may have
+    /// stopped a launch anywhere, so its slots go no further.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let room = self.cfg.num_sms as usize;
+        // The spare list is gone once the thread's locals are being
+        // destroyed; the slots then drop with the device.
+        let _ = SPARE_SLOTS.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            self.slots.truncate(room.saturating_sub(spare.len()));
+            spare.extend(self.slots.drain(..).rev());
+        });
     }
 }
 

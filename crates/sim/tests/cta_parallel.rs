@@ -118,28 +118,34 @@ fn cross_cta_reduction_atomics_merge_exactly() {
 
 #[test]
 fn relaunch_reuses_warp_state() {
-    let mut mb = ModuleBuilder::new();
-    mb.add_kernel(red_bins_kernel());
-    let module = mb.build(None).unwrap();
-    let mut rt = Runtime::with_defaults();
-    let bins = rt.alloc_zeroed_u32(8);
-    let dims = LaunchDims::linear(32, 64);
-    for _ in 0..2 {
-        rt.launch(&module, "red_bins", dims, &[bins.addr], &mut NoHandlers)
-            .unwrap();
-    }
-    let after_two = rt.device.warp_allocations();
-    assert!(after_two > 0, "first launch must provision warps");
-    // Two more launches with the same geometry: every warp context must
-    // come from the recycled pool, never a fresh allocation.
-    for _ in 0..2 {
-        rt.launch(&module, "red_bins", dims, &[bins.addr], &mut NoHandlers)
-            .unwrap();
-    }
-    assert_eq!(
-        rt.device.warp_allocations(),
-        after_two,
-        "relaunch with identical geometry must not allocate warp state"
-    );
-    assert_eq!(rt.read_u32(bins), vec![4 * 256u32; 8]);
+    // A fresh thread holds no spare SM slots, so its first device must
+    // provision warps whatever ran before on the test harness's threads.
+    std::thread::spawn(|| {
+        let mut mb = ModuleBuilder::new();
+        mb.add_kernel(red_bins_kernel());
+        let module = mb.build(None).unwrap();
+        let mut rt = Runtime::with_defaults();
+        let bins = rt.alloc_zeroed_u32(8);
+        let dims = LaunchDims::linear(32, 64);
+        for _ in 0..2 {
+            rt.launch(&module, "red_bins", dims, &[bins.addr], &mut NoHandlers)
+                .unwrap();
+        }
+        let after_two = rt.device.warp_allocations();
+        assert!(after_two > 0, "first launch must provision warps");
+        // Two more launches with the same geometry: every warp context must
+        // come from the recycled pool, never a fresh allocation.
+        for _ in 0..2 {
+            rt.launch(&module, "red_bins", dims, &[bins.addr], &mut NoHandlers)
+                .unwrap();
+        }
+        assert_eq!(
+            rt.device.warp_allocations(),
+            after_two,
+            "relaunch with identical geometry must not allocate warp state"
+        );
+        assert_eq!(rt.read_u32(bins), vec![4 * 256u32; 8]);
+    })
+    .join()
+    .unwrap();
 }

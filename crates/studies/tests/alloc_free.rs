@@ -1,5 +1,11 @@
 //! Steady-state allocation accounting for the instrumented path.
 //!
+//! What this pins is an allocation-free steady state *per thread*, not
+//! per device: SM slots outlive their device and go to the next device
+//! launched on the same thread, so only the thread's first device
+//! provisions warp contexts. Every later device of the same geometry,
+//! warm-up included, allocates none.
+//!
 //! The launch machinery performs a small, fixed number of heap
 //! allocations per launch (the constant bank, the shard results and
 //! warp lists, journal growth) — identically for native and instrumented modules of the
@@ -119,12 +125,19 @@ impl Bench {
 #[test]
 fn instrumented_relaunch_allocates_no_more_than_native() {
     // Native baseline: same kernel, same geometry, empty instrumentor.
+    // The test thread's first device: its warm-up provisions the warps
+    // that every later bench inherits.
     let mut native_rt = Sassi::new();
     let mut native = Bench::new(None);
     for _ in 0..2 {
         native.launch(&mut native_rt); // warm pools and caches
     }
+    assert!(
+        native.dev.warp_allocations() > 0,
+        "native: the thread's first device must provision warps"
+    );
     let (native_delta, _) = native.measure(&mut native_rt);
+    drop(native);
 
     // Each study's real instrumentor, driven steady-state.
     let branch_state = Arc::new(Mutex::new(sassi_studies::branch::BranchState::default()));
@@ -142,7 +155,10 @@ fn instrumented_relaunch_allocates_no_more_than_native() {
             bench.launch(&mut sassi); // warm: pools, scratch, study maps
         }
         let warps_warm = bench.dev.warp_allocations();
-        assert!(warps_warm > 0, "{name}: warm-up must provision warps");
+        assert_eq!(
+            warps_warm, 0,
+            "{name}: warm-up must inherit the dropped bench's warps"
+        );
 
         let (d1, r1) = bench.measure(&mut sassi);
         let (d2, r2) = bench.measure(&mut sassi);
