@@ -252,5 +252,6 @@ fn ablation_spill(jobs: usize) {
             row.name, row.live_saves, row.all_saves, row.k_live, row.k_all
         );
     }
+    save_json("ablation_spill", &rows);
     report_timing("ablation-spill", &timing);
 }

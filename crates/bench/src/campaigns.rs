@@ -11,6 +11,7 @@ use crate::exec::{run_units, Timing, WorkloadCache};
 use sassi_studies::inject::{self, InjectionCampaign, InjectionSite};
 use sassi_studies::{branch, memdiv, overhead, value};
 use sassi_workloads::{fig10_set, fig7_set, table1_set, table2_set, table3_set, Workload};
+use serde::Serialize;
 
 /// The campaign seed every `repro fig10` run uses.
 pub const FIG10_SEED: u64 = 0xC0FFEE;
@@ -137,7 +138,7 @@ pub fn ablation_stub(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
 }
 
 /// One row of the liveness-ablation table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SpillRow {
     /// Workload display name.
     pub name: String,

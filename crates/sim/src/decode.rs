@@ -27,6 +27,12 @@
 //!   *local spans* ([`DecodedInstr::span`]); a span is the only shape
 //!   of local access the run loop executes as rows, one step per span,
 //!   and every other local access runs lane by lane;
+//! * each pc's run end ([`DecodedModule::run_end`]) comes from one
+//!   backward scan: a run ends after its first control transfer or
+//!   barrier, or after every µop in a module with consuming global
+//!   atomics, whose local spans are then one µop each. Decode is the
+//!   only owner of this run shape: the scheduler runs a warp from its
+//!   pc to the run's end, and no span crosses it;
 //! * instrumentation trap sites (`JCAL handlerN`) are recorded in a
 //!   per-module site table sorted by pc, so SASSI's *selective
 //!   instrumentation* property — uninstrumented instructions pay
@@ -362,9 +368,11 @@ pub struct DecodedInstr {
     /// 32-, 64- or 128-bit local loads, or of such local stores and
     /// immediate moves, at 4-aligned offsets: a trampoline's spills,
     /// fills and parameter stores, or a lone spill or fill (a span of
-    /// 1). The decoded run loop runs each span it reaches as one step,
-    /// cut at the end of the run, if the base checks out at run time;
-    /// a local access outside every span runs lane by lane.
+    /// 1). No span crosses the end of its run: its µops end no run, and
+    /// in a module whose runs are one µop long every span is 1 (see
+    /// [`DecodedModule::run_end`]). The decoded run loop runs each span
+    /// it reaches as one step if the base checks out at run time; a
+    /// local access outside every span runs lane by lane.
     pub span: u8,
     /// The operation.
     pub uop: UOp,
@@ -391,36 +399,6 @@ pub struct TrapSite {
     pub pc: u32,
     /// The native handler id the site calls.
     pub handler: u32,
-}
-
-/// One maximal straight-line run of µops: pcs `start..end` with the
-/// block's single (optional) block-ending µop at `end - 1`.
-///
-/// Blocks partition the module's pc space purely by *block-ending*
-/// µops (see [`is_block_boundary`]): every control transfer or
-/// barrier ends the block containing it, and the last instruction of
-/// the module ends the final block. Branch *targets* do not split
-/// blocks — a jump into the middle of a run simply executes the
-/// remaining suffix, which is why the interpreter asks for the extent
-/// *from the current pc* rather than from the block leader.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// First pc of the block.
-    pub start: u32,
-    /// One past the last pc of the block.
-    pub end: u32,
-}
-
-impl BasicBlock {
-    /// Number of µops in the block (always ≥ 1).
-    pub fn len(&self) -> u32 {
-        self.end - self.start
-    }
-
-    /// Blocks are never empty; this exists for clippy symmetry.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 /// What the µops of a local span from one pc on need checked before
@@ -492,7 +470,13 @@ fn span_member(di: &DecodedInstr) -> SpanMember {
 /// backwards so that each pc records the length and byte range of the
 /// run from that pc on: a branch into the middle of a run runs the
 /// suffix.
-fn build_spans(code: &mut [DecodedInstr]) -> Vec<LocalSpan> {
+///
+/// With `join` false nothing joins: every access is a span of 1 whose
+/// [`LocalSpan`] covers only its own bytes, and no immediate move is
+/// marked. A module whose runs are one µop long (see
+/// [`DecodedModule::run_end`]) is marked so, which keeps every span
+/// inside its run.
+fn build_spans(code: &mut [DecodedInstr], join: bool) -> Vec<LocalSpan> {
     let none = LocalSpan {
         base: Gpr::RZ,
         store: false,
@@ -504,7 +488,7 @@ fn build_spans(code: &mut [DecodedInstr]) -> Vec<LocalSpan> {
         let guard = code[pc].guard;
         let next = code
             .get(pc + 1)
-            .filter(|n| n.span != 0 && n.span < MAX_SPAN && n.guard == guard)
+            .filter(|n| join && n.span != 0 && n.span < MAX_SPAN && n.guard == guard)
             .map(|n| (n.span, spans[pc + 1]));
         let (len, span) = match (span_member(&code[pc]), next) {
             (SpanMember::Access(a), Some((len, s))) if a.base == s.base && a.store == s.store => (
@@ -525,15 +509,15 @@ fn build_spans(code: &mut [DecodedInstr]) -> Vec<LocalSpan> {
     spans
 }
 
-/// Whether `uop` ends a basic block: any control transfer (`BRA`,
-/// `SSY`, `SYNC`, `EXIT`, `JCAL` to a *function*, `RET`), the CTA
-/// barrier (`BAR.SYNC`, which can suspend the warp), or a decode-time
-/// defect (`Invalid`, a guaranteed fetch fault). Instrumentation
-/// traps (`UOp::Trap`) deliberately do **not** end blocks: dispatch
-/// is one indexed handler call and always resumes at `pc + 1`, so
+/// Whether `uop` ends a run: any control transfer (`BRA`, `SSY`,
+/// `SYNC`, `EXIT`, `JCAL` to a *function*, `RET`), the CTA barrier
+/// (`BAR.SYNC`, which can suspend the warp), or a decode-time defect
+/// (`Invalid`, a guaranteed fetch fault). Instrumentation traps
+/// (`UOp::Trap`) deliberately do **not** end runs: dispatch is one
+/// indexed handler call and always resumes at `pc + 1`, so
 /// straight-line runs flow through trap sites.
 #[inline(always)]
-pub fn is_block_boundary(uop: &UOp) -> bool {
+pub(crate) fn is_block_boundary(uop: &UOp) -> bool {
     matches!(
         uop,
         UOp::Ssy { .. }
@@ -548,17 +532,20 @@ pub fn is_block_boundary(uop: &UOp) -> bool {
 }
 
 /// The pre-decoded form of a linked module: the flat µop array, the
-/// resolved trap-site table and the basic-block table.
+/// resolved trap-site table, each pc's local span and each pc's run
+/// end. Decode alone decides where a run ends ([`run_end`]) and which
+/// µops run as one local span ([`DecodedInstr::span`]); the
+/// interpreter only follows both.
+///
+/// [`run_end`]: DecodedModule::run_end
 #[derive(Clone, Debug)]
 pub struct DecodedModule {
     code: Vec<DecodedInstr>,
     /// Trap sites in ascending pc order; `UOp::Trap::site` indexes this.
     sites: Vec<TrapSite>,
-    /// Basic blocks in ascending pc order; a partition of `0..len()`.
-    blocks: Vec<BasicBlock>,
-    /// `block_idx[pc]` is the index into `blocks` of the block
-    /// containing `pc`.
-    block_idx: Vec<u32>,
+    /// `run_end[pc]` is one past the last µop of the run from `pc`
+    /// (see [`DecodedModule::run_end`]).
+    run_end: Vec<u32>,
     /// Whether any global/generic atomic *consumes* its old value
     /// (`ATOM` with a live destination, or any CAS/EXCH). See
     /// [`DecodedModule::has_consuming_global_atomics`].
@@ -600,25 +587,32 @@ impl DecodedModule {
             }
             code.push(di);
         }
-        let (blocks, block_idx) = build_blocks(&code);
-        let spans = build_spans(&mut code);
+        let mut run_end = vec![0; n];
+        let mut end = n as u32;
+        for pc in (0..n).rev() {
+            if consuming_global_atomics || is_block_boundary(&code[pc].uop) {
+                end = pc as u32 + 1;
+            }
+            run_end[pc] = end;
+        }
+        let spans = build_spans(&mut code, !consuming_global_atomics);
         DecodedModule {
             code,
             sites,
-            blocks,
-            block_idx,
+            run_end,
             consuming_global_atomics,
             regs_used: named.max_gpr().map_or(0, |r| r.index() as u32 + 1),
             spans,
         }
     }
 
-    /// The local span from `pc` on and its first `n` µops, for a `pc`
-    /// whose [`DecodedInstr::span`] is at least `n`.
+    /// The local span from `pc` on and its µops, for a `pc` whose
+    /// [`DecodedInstr::span`] is not 0.
     #[inline(always)]
-    pub(crate) fn local_span(&self, pc: u32, n: u32) -> (&LocalSpan, &[DecodedInstr]) {
+    pub(crate) fn local_span(&self, pc: u32) -> (&LocalSpan, &[DecodedInstr]) {
         let pc = pc as usize;
-        (&self.spans[pc], &self.code[pc..pc + n as usize])
+        let len = self.code[pc].span as usize;
+        (&self.spans[pc], &self.code[pc..pc + len])
     }
 
     /// How many registers per thread the code needs: one past the
@@ -632,7 +626,8 @@ impl DecodedModule {
     /// old value can be observed by the program: an `ATOM` writing a
     /// live destination, or any CAS/EXCH. Such kernels see a total
     /// order over cross-CTA atomics, so CTA-parallel launches fall back
-    /// to sequential shard execution. `RED`-style fire-and-forget
+    /// to sequential shard execution, and every run is one µop long
+    /// (see [`DecodedModule::run_end`]). `RED`-style fire-and-forget
     /// reductions (destination-less or `RZ`) are commutative deltas and
     /// do not set this.
     pub fn has_consuming_global_atomics(&self) -> bool {
@@ -676,32 +671,21 @@ impl DecodedModule {
             .map(|i| i as u32)
     }
 
-    /// The basic-block table: a partition of `0..len()` in ascending
-    /// pc order (see [`BasicBlock`]).
-    pub fn blocks(&self) -> &[BasicBlock] {
-        &self.blocks
-    }
-
-    /// Index into [`DecodedModule::blocks`] of the block containing
-    /// `pc`, if `pc` is in range.
-    pub fn block_index(&self, pc: u32) -> Option<u32> {
-        self.block_idx.get(pc as usize).copied()
-    }
-
-    /// The block containing `pc`, if `pc` is in range.
-    pub fn block_of(&self, pc: u32) -> Option<BasicBlock> {
-        self.block_index(pc).map(|i| self.blocks[i as usize])
-    }
-
-    /// Exclusive end of the straight-line run containing `pc`: the
-    /// interpreter may execute `pc..block_end(pc)` without re-picking
-    /// a warp (the run's only possible control transfer sits at
-    /// `block_end(pc) - 1`). Out-of-range pcs return `pc + 1` so the
-    /// caller performs exactly one fetch, which faults precisely.
+    /// Exclusive end of the straight-line run from `pc`: the
+    /// interpreter may execute `pc..run_end(pc)` without re-picking a
+    /// warp. A run ends after its first control transfer or barrier
+    /// (the only µop that may move the pc anywhere but `pc + 1`), or
+    /// at the module's end; branch *targets* do not split runs, so a
+    /// jump into the middle of one runs its suffix. In a module with
+    /// consuming global atomics every run is one µop, `pc + 1`: a
+    /// consumed old value feeds the warp interleaving back into the
+    /// program, so the interleaving stays per µop. Out-of-range pcs
+    /// return `pc + 1` so the caller performs exactly one fetch, which
+    /// faults precisely.
     #[inline(always)]
-    pub fn block_end(&self, pc: u32) -> u32 {
-        match self.block_idx.get(pc as usize) {
-            Some(&i) => self.blocks[i as usize].end,
+    pub fn run_end(&self, pc: u32) -> u32 {
+        match self.run_end.get(pc as usize) {
+            Some(&end) => end,
             None => pc.saturating_add(1),
         }
     }
@@ -713,30 +697,6 @@ impl DecodedModule {
         let hi = self.sites.partition_point(|s| s.pc < end);
         hi.saturating_sub(lo) as u32
     }
-}
-
-/// Partitions the decoded code into basic blocks: a new block ends at
-/// every block-ending µop ([`is_block_boundary`]) and at the end of
-/// the module. Returns the block table plus the per-pc block index.
-fn build_blocks(code: &[DecodedInstr]) -> (Vec<BasicBlock>, Vec<u32>) {
-    let n = code.len();
-    let mut blocks = Vec::new();
-    let mut block_idx = vec![0u32; n];
-    let mut start = 0usize;
-    for pc in 0..n {
-        if is_block_boundary(&code[pc].uop) || pc + 1 == n {
-            let idx = blocks.len() as u32;
-            blocks.push(BasicBlock {
-                start: start as u32,
-                end: pc as u32 + 1,
-            });
-            for slot in &mut block_idx[start..=pc] {
-                *slot = idx;
-            }
-            start = pc + 1;
-        }
-    }
-    (blocks, block_idx)
 }
 
 /// Lowers a branch-style target: `code_len` is the exclusive upper
@@ -1169,44 +1129,28 @@ mod tests {
     }
 
     #[test]
-    fn block_table_partitions_by_control_transfers_only() {
+    fn runs_end_at_control_transfers_only() {
         let m = module_of(vec![
             Instr::new(Op::Nop), // 0
             Instr::new(Op::Jcal {
                 target: Label::Handler(1),
-            }), // 1: trap, NOT a boundary
-            Instr::new(Op::MemBar), // 2: not a boundary
+            }), // 1: trap, does not end the run
+            Instr::new(Op::MemBar), // 2: does not end the run
             Instr::new(Op::Bra {
                 target: Label::Pc(0),
                 uniform: false,
-            }), // 3: ends block 0
+            }), // 3: ends the first run
             Instr::new(Op::Nop), // 4
-            Instr::new(Op::BarSync), // 5: ends block 1
-            Instr::new(Op::Exit), // 6: ends block 2
+            Instr::new(Op::BarSync), // 5: ends the second run
+            Instr::new(Op::Exit), // 6: ends the third run
         ]);
         let d = m.decoded();
-        assert_eq!(
-            d.blocks(),
-            &[
-                BasicBlock { start: 0, end: 4 },
-                BasicBlock { start: 4, end: 6 },
-                BasicBlock { start: 6, end: 7 },
-            ]
-        );
-        // Every pc maps to exactly one block and extents answer from
-        // mid-block pcs, not just leaders.
-        assert_eq!(d.block_index(0), Some(0));
-        assert_eq!(d.block_index(2), Some(0));
-        assert_eq!(d.block_index(3), Some(0));
-        assert_eq!(d.block_index(4), Some(1));
-        assert_eq!(d.block_index(6), Some(2));
-        assert_eq!(d.block_end(2), 4);
-        assert_eq!(d.block_end(4), 6);
-        assert_eq!(d.block_of(5), Some(BasicBlock { start: 4, end: 6 }));
+        // Every pc, not just a run's first, answers its run's end.
+        let ends: Vec<u32> = (0..7).map(|pc| d.run_end(pc)).collect();
+        assert_eq!(ends, [4, 4, 4, 4, 6, 6, 7]);
         // Out of range: one fetch (which faults precisely).
-        assert_eq!(d.block_index(7), None);
-        assert_eq!(d.block_end(7), 8);
-        assert_eq!(d.block_end(u32::MAX), u32::MAX);
+        assert_eq!(d.run_end(7), 8);
+        assert_eq!(d.run_end(u32::MAX), u32::MAX);
     }
 
     #[test]
@@ -1401,7 +1345,7 @@ mod tests {
         // the pair load R0:R1, are never marked, nor is the unaligned
         // load.
         assert_eq!(spans, [3, 2, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0]);
-        let (s, code) = d.local_span(0, 3);
+        let (s, code) = d.local_span(0);
         assert_eq!(
             (s.base, s.store, s.lo, s.hi, code.len()),
             (Gpr::SP, true, 0, 8, 3)

@@ -671,18 +671,14 @@ impl Exec<'_> {
         }
     }
 
-    /// Runs warp `wi` from its current pc to the end of the enclosing
-    /// basic block: every remaining µop of the straight-line run
-    /// (predicated-off ones included) executes under this one
-    /// scheduler visit, bailing out early only on a fault, warp
-    /// retirement or a barrier. This is the only scheduler path, for
-    /// both [`ExecMode`]s.
-    ///
-    /// Kernels with consuming global atomics run one µop per visit
-    /// (a run ending at `pc + 1`): a consumed old value (CAS winners,
-    /// `atom` destinations) feeds the intra-SM warp interleaving back
-    /// into the instruction stream, so coarsening that interleaving
-    /// would change what such kernels compute.
+    /// Runs warp `wi` from its current pc to the end of its run,
+    /// [`DecodedModule::run_end`]: every remaining µop of the
+    /// straight-line run (predicated-off ones included) executes under
+    /// this one scheduler visit, bailing out early only on a fault,
+    /// warp retirement or a barrier. This is the only scheduler path,
+    /// for both [`ExecMode`]s. Decode decides where runs end, one µop
+    /// long in kernels with consuming global atomics included; this
+    /// loop only follows it.
     ///
     /// The timing contract (DESIGN.md): one cycle per µop executed;
     /// intermediate dependence stalls are *not* waited out mid-run;
@@ -701,11 +697,7 @@ impl Exec<'_> {
         // The extent is asked from the *current* pc: jumps into the
         // middle of a run execute only its remaining suffix.
         let pc = self.warps[wi].pc;
-        let end = if self.decoded.has_consuming_global_atomics() {
-            pc.saturating_add(1)
-        } else {
-            self.decoded.block_end(pc)
-        };
+        let end = self.decoded.run_end(pc);
         let decoded = self.mode == ExecMode::Decoded;
         let mut block_ready = 0u64;
         loop {
@@ -724,9 +716,9 @@ impl Exec<'_> {
             block_ready = block_ready.max(self.cycle + lat.max(1));
             self.cycle += 1;
             // `pc + 1 == end` means the run's last µop just executed —
-            // checked against the pre-step pc because a block-ending
+            // checked against the pre-step pc because a run-ending
             // branch may land anywhere (including back inside this
-            // block, which starts a *new* scheduler visit). Every
+            // run, which starts a *new* scheduler visit). Every
             // non-ending µop advances pc by exactly one.
             if pc + 1 >= end || self.warps[wi].status != WarpStatus::Ready {
                 break;
@@ -745,11 +737,12 @@ impl Exec<'_> {
     /// lat.max(1)` into `block_ready` as `step_block` does.
     ///
     /// At every pc inside a local span (see [`DecodedInstr::span`]),
-    /// [`exec_span`] runs the span's µops up to `end` as one step, a
-    /// lone spill or fill included. If it declines, the µop at the pc
-    /// runs alone: an immediate move in [`Exec::exec_warp`], a local
-    /// access per lane in `step_decoded`; the next pc tries its own
-    /// suffix of the span.
+    /// [`exec_span`] runs the rest of the span as one step, a lone
+    /// spill or fill included; decode keeps every span inside its run,
+    /// so it never runs past `end`. If it declines, the µop at
+    /// the pc runs alone: an immediate move in [`Exec::exec_warp`], a
+    /// local access per lane in `step_decoded`; the next pc tries its
+    /// own suffix of the span.
     fn run_warp_local(&mut self, wi: usize, end: u32, block_ready: &mut u64) -> bool {
         let dm: &DecodedModule = self.decoded;
         let env = WarpEnv {
@@ -766,15 +759,12 @@ impl Exec<'_> {
         let done = loop {
             let Some(di) = dm.get(w.pc) else { break false };
             let mask = guard_mask(w, di.guard);
-            if di.span != 0 {
-                let n = (di.span as u32).min(end - w.pc);
-                if exec_span(dm, w, mask, n, local_lat, cycle, stats, block_ready) {
-                    cycle += n as u64;
-                    if w.pc >= end {
-                        break true;
-                    }
-                    continue;
+            if di.span != 0 && exec_span(dm, w, mask, local_lat, cycle, stats, block_ready) {
+                cycle += di.span as u64;
+                if w.pc >= end {
+                    break true;
                 }
+                continue;
             }
             let Some(lat) = Self::exec_warp(&env, w, di, mask, cycle) else {
                 break false;
@@ -943,9 +933,7 @@ impl Exec<'_> {
                 return Ok(1);
             }
             UOp::Call { target } => {
-                let w = &mut self.warps[wi];
-                w.call_stack.push(w.pc + 1);
-                w.pc = target;
+                self.warps[wi].call(target)?;
                 return Ok(4);
             }
             UOp::Trap { handler, site } => self.trap(wi, TrapRef { site, handler })?,
@@ -1901,33 +1889,31 @@ fn global_addrs(
     (addrs, n, span)
 }
 
-/// Runs the `n` µops of the local span at `w.pc` (see
-/// [`DecodedInstr::span`]) under the guard mask `mask` as one step: one
-/// uniformity and alignment check of the base row and one bounds check
-/// of the span's lowest and highest byte, then each µop in order, a
-/// masked row copy per word or an immediate fill. Stats, `w.pc` and
-/// `block_ready` end as the µops run one by one in the run loop from
-/// `cycle` leave them; the caller adds the `n` cycles. This is the only
-/// row path of a local access: decode marks every access that can take
-/// it, and this checks at run time what decode cannot. Returns `false`,
-/// having done nothing, if the base is not uniform over `mask` or not
+/// Runs the whole local span from `w.pc` (see [`DecodedInstr::span`])
+/// under the guard mask `mask` as one step: one uniformity and
+/// alignment check of the base row and one bounds check of the span's
+/// lowest and highest byte, then each µop in order, a masked row copy
+/// per word or an immediate fill. Stats, `w.pc` and `block_ready` end
+/// as the µops run one by one in the run loop from `cycle` leave them;
+/// the caller adds a cycle per µop. This is the only row path of a
+/// local access: decode marks every access that can take it, and this
+/// checks at run time what decode cannot. Returns `false`, having done
+/// nothing, if the base is not uniform over `mask` or not
 /// 4-aligned, or any access of the span would leave the slab. The µop
 /// at `w.pc` then runs alone, a local access per lane as the reference
 /// interpreter runs it: the same words, the same first-lane fault and
 /// the same latency.
-#[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn exec_span(
     dm: &DecodedModule,
     w: &mut Warp,
     mask: LaneMask,
-    n: u32,
     local_lat: u64,
     cycle: u64,
     stats: &mut LaunchStats,
     block_ready: &mut u64,
 ) -> bool {
-    let (span, code) = dm.local_span(w.pc, n);
+    let (span, code) = dm.local_span(w.pc);
     let Some(b0) = w.uniform_reg(mask, span.base) else {
         return false;
     };
@@ -1959,6 +1945,7 @@ fn exec_span(
         stats.issue.bump(di.class);
         ready = ready.max(cycle + i as u64 + lat.max(1));
     }
+    let n = code.len() as u32;
     *block_ready = ready;
     stats.warp_instrs += n as u64;
     stats.thread_instrs += n as u64 * mask.count_ones() as u64;

@@ -113,9 +113,7 @@ impl Exec<'_> {
             Op::Jcal {
                 target: Label::Pc(t),
             } => {
-                let w = &mut self.warps[wi];
-                w.call_stack.push(w.pc + 1);
-                w.pc = *t;
+                self.warps[wi].call(*t)?;
                 return Ok(4);
             }
             Op::Jcal {

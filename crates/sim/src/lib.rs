@@ -52,10 +52,7 @@ mod trap;
 mod warp;
 
 pub use config::{GpuConfig, LaunchDims};
-pub use decode::{
-    is_block_boundary, BasicBlock, DSrc, DecodedFault, DecodedInstr, DecodedModule, TrapSite, UOp,
-    GUARD_ALWAYS,
-};
+pub use decode::{DSrc, DecodedFault, DecodedInstr, DecodedModule, TrapSite, UOp, GUARD_ALWAYS};
 pub use device::{Device, ExecMode, LaunchError};
 pub use module::{LinkError, LinkedFunction, Module};
 pub use stats::{

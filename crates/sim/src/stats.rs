@@ -36,6 +36,8 @@ pub enum FaultKind {
     },
     /// `RET` with an empty call stack.
     CallStackUnderflow,
+    /// `CAL` with 1024 return pcs already on the call stack.
+    CallStackOverflow,
 }
 
 impl fmt::Display for FaultKind {
@@ -53,6 +55,7 @@ impl fmt::Display for FaultKind {
             }
             FaultKind::InvalidPc { pc } => write!(f, "control transfer to invalid pc {pc}"),
             FaultKind::CallStackUnderflow => write!(f, "return with empty call stack"),
+            FaultKind::CallStackOverflow => write!(f, "call with full call stack"),
         }
     }
 }

@@ -15,7 +15,16 @@
 //! reconvergence token, resuming all surviving lanes at the
 //! reconvergence point.
 
+use crate::stats::FaultKind;
 use sassi_isa::{Gpr, LaneMask, PredReg};
+
+/// How many return pcs a warp's call stack holds; a `CAL` past it
+/// faults with [`FaultKind::CallStackOverflow`]. A GPU keeps return
+/// addresses on the thread's finite stack, and so must the simulator:
+/// an unbounded stack lets a runaway recursion, a `CAL` to its own pc
+/// for one, grow host memory by 4 bytes a cycle until the watchdog
+/// fires. The deepest call in the tree is 1 (a SASS handler call).
+pub(crate) const MAX_CALL_DEPTH: usize = 1024;
 
 /// One divergence-stack entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,14 +65,14 @@ pub struct Warp {
     pub warp_in_cta: u32,
     /// Current program counter (flat module code space).
     ///
-    /// Invariant the block-stepped scheduler depends on: executing any
-    /// µop that is not a block boundary (see
-    /// [`crate::is_block_boundary`]) advances `pc` by exactly one —
-    /// including instrumentation traps, whose handlers run to
-    /// completion within the step and always resume at `pc + 1`. Only
-    /// boundary µops (branches, `SSY`/`SYNC`, calls, returns, `EXIT`,
-    /// `BAR.SYNC`) may move `pc` anywhere else, and the block table
-    /// places each of those last in its block.
+    /// Invariant the run-stepped scheduler depends on: executing any
+    /// µop that does not end a run (see
+    /// [`DecodedModule::run_end`](crate::DecodedModule::run_end))
+    /// advances `pc` by exactly one — including instrumentation traps,
+    /// whose handlers run to completion within the step and always
+    /// resume at `pc + 1`. Only run-ending µops (branches,
+    /// `SSY`/`SYNC`, calls, returns, `EXIT`, `BAR.SYNC`) may move `pc`
+    /// anywhere else, and decode places each of those last in its run.
     pub pc: u32,
     /// Currently active lanes.
     pub active: LaneMask,
@@ -417,6 +426,18 @@ impl Warp {
             mask: self.active,
         });
         self.pc += 1;
+    }
+
+    /// Executes `CAL target`: pushes the return pc `pc + 1` and jumps,
+    /// or faults if the call stack already holds [`MAX_CALL_DEPTH`]
+    /// return pcs.
+    pub(crate) fn call(&mut self, target: u32) -> Result<(), FaultKind> {
+        if self.call_stack.len() >= MAX_CALL_DEPTH {
+            return Err(FaultKind::CallStackOverflow);
+        }
+        self.call_stack.push(self.pc + 1);
+        self.pc = target;
+        Ok(())
     }
 
     /// Executes a branch: `taken` lanes (subset of active) go to

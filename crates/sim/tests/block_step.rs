@@ -1,10 +1,10 @@
-//! The block-stepped scheduler's contract, in three parts:
+//! The run-stepped scheduler's contract, in three parts:
 //!
-//! 1. **Table invariants** — over random instruction streams, the
-//!    decode-time basic-block table is a partition of the pc space
-//!    whose internal pcs are exactly the non-boundary µops and whose
-//!    block-ending pcs are exactly the control-transfer/barrier µops
-//!    (or the end of the module).
+//! 1. **Run shape** — over random instruction streams, decode's
+//!    per-pc run end is one past the first control transfer or barrier
+//!    at or after the pc (or the module's end), traps do not end runs,
+//!    and in a module with consuming global atomics every run and
+//!    every local span is one µop.
 //! 2. **Oracle equivalence** — on divergent, barrier, trap-dense and
 //!    faulting kernels, the decoded interpreter's fused run loop gives
 //!    the same `LaunchResult` (cycles included), memory and precise
@@ -18,46 +18,73 @@ use sassi::{FnHandler, InfoFlags, Sassi, SiteFilter};
 use sassi_isa::{FunctionMeta, Instr, Label, Op};
 use sassi_kir::{Compiler, KernelBuilder};
 use sassi_sim::{
-    is_block_boundary, Device, ExecMode, KernelOutcome, LaunchDims, LaunchResult, LinkedFunction,
-    Module, NoHandlers,
+    Device, ExecMode, KernelOutcome, LaunchDims, LaunchResult, LinkedFunction, Module, NoHandlers,
 };
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
-// Half 1: table invariants over arbitrary instruction streams.
+// Part 1: the run shape over arbitrary instruction streams.
 
 /// A compact generator of instruction streams that mixes straight-line
-/// µops with every block-ending shape: branches (valid and wild),
-/// reconvergence pushes/pops, barriers, returns, calls to functions
-/// (unlinked → `Invalid`) and to handlers (→ `Trap`, which must NOT
-/// end a block).
+/// µops, spills and fills among them, with every run-ending shape:
+/// branches (valid and wild), reconvergence pushes/pops, barriers,
+/// returns, calls to linked and unlinked functions, and calls to
+/// handlers (→ `Trap`, which must NOT end a run).
 fn instr_strategy(len: u32) -> impl Strategy<Value = Instr> {
+    use sassi_isa::{Gpr, MemAddr, MemWidth};
     // The vendored proptest shim has no weighted arms or `Just`; a
-    // single discriminant draw keeps straight-line µops (Nop) common
-    // enough that runs of useful length appear.
-    (0u32..16, 0..len * 2, 0u32..4).prop_map(|(kind, pc, h)| {
+    // single discriminant draw keeps straight-line µops (Nop, STL,
+    // LDL) common enough that runs and spans of useful length appear.
+    (0u32..20, 0..len * 2, 0u32..4).prop_map(|(kind, pc, h)| {
+        let local = MemAddr::local(Gpr::SP, 4 * h as i32);
         Instr::new(match kind {
-            0..=5 => Op::Nop,
-            6 => Op::MemBar,
-            7 | 8 => Op::Bra {
+            0..=3 => Op::Nop,
+            4 | 5 => Op::St {
+                v: Gpr::new(2),
+                width: MemWidth::B32,
+                addr: local,
+                spill: true,
+            },
+            6 | 7 => Op::Ld {
+                d: Gpr::new(3),
+                width: MemWidth::B32,
+                addr: local,
+                spill: true,
+            },
+            8 => Op::MemBar,
+            9 | 10 => Op::Bra {
                 target: Label::Pc(pc),
                 uniform: false,
             },
-            9 => Op::Ssy {
+            11 => Op::Ssy {
                 target: Label::Pc(pc),
             },
-            10 => Op::Sync,
-            11 => Op::BarSync,
-            12 => Op::Ret,
-            13 => Op::Exit,
-            14 => Op::Jcal {
+            12 => Op::Sync,
+            13 => Op::BarSync,
+            14 => Op::Ret,
+            15 => Op::Exit,
+            16 | 17 => Op::Jcal {
                 target: Label::Handler(h),
+            },
+            18 => Op::Jcal {
+                target: Label::Pc(pc),
             },
             _ => Op::Jcal {
                 target: Label::Func(h),
             },
         })
     })
+}
+
+/// Whether `op` ends a run, read off the instruction itself: every
+/// control transfer and the CTA barrier, but not a call into a
+/// handler, which resumes at the next pc.
+fn ends_run(op: &Op) -> bool {
+    match op {
+        Op::Bra { .. } | Op::Ssy { .. } | Op::Sync | Op::Exit | Op::Ret | Op::BarSync => true,
+        Op::Jcal { target } => !matches!(target, Label::Handler(_)),
+        _ => false,
+    }
 }
 
 fn raw_module(code: Vec<Instr>) -> Module {
@@ -77,48 +104,50 @@ fn raw_module(code: Vec<Instr>) -> Module {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every pc belongs to exactly one block, blocks tile `0..len`
-    /// contiguously, and a pc is the last of its block iff its µop is
-    /// a block boundary or the module's final instruction.
+    /// Each pc's run ends one past the first run-ending instruction at
+    /// or after it, or at the module's end, and no local span crosses
+    /// its run's end. With a consuming global atomic appended
+    /// (unreached), every run is one µop and every span at most one.
     #[test]
-    fn block_table_partitions_pc_space(
+    fn run_end_follows_raw_ops(
         code in prop::collection::vec(instr_strategy(64), 1..64),
     ) {
-        let module = raw_module(code);
-        let dm = module.decoded();
-        let n = dm.len() as u32;
-        let blocks = dm.blocks();
-
-        // Partition: contiguous, non-empty, covering exactly 0..n.
-        prop_assert!(!blocks.is_empty());
-        prop_assert_eq!(blocks[0].start, 0);
-        prop_assert_eq!(blocks[blocks.len() - 1].end, n);
-        for w in blocks.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start, "blocks must tile the pc space");
-            prop_assert!(w[0].start < w[0].end, "blocks are non-empty");
-        }
-
-        for pc in 0..n {
-            // Membership: block_index agrees with the block extents.
-            let bi = dm.block_index(pc).expect("in-range pc") as usize;
-            let b = blocks[bi];
-            prop_assert!(b.start <= pc && pc < b.end, "pc {} outside its block {:?}", pc, b);
-            prop_assert_eq!(dm.block_end(pc), b.end);
-
-            // Boundary coincidence: last-of-block ⟺ boundary µop or
-            // final instruction; internal pcs are never boundaries.
-            let uop = &dm.get(pc).unwrap().uop;
-            let is_last = pc + 1 == b.end;
-            if is_block_boundary(uop) {
-                prop_assert!(is_last, "boundary µop at {} must end its block", pc);
-            } else if is_last {
-                prop_assert_eq!(b.end, n, "only the module end may close a block \
-                                           on a non-boundary µop (pc {})", pc);
+        let n = code.len() as u32;
+        let mut want = vec![n; code.len()];
+        for pc in (0..code.len()).rev() {
+            if ends_run(&code[pc].op) {
+                want[pc] = pc as u32 + 1;
+            } else if pc + 1 < code.len() {
+                want[pc] = want[pc + 1];
             }
         }
-
+        let module = raw_module(code.clone());
+        let dm = module.decoded();
+        prop_assert!(!dm.has_consuming_global_atomics());
+        for pc in 0..n {
+            prop_assert_eq!(dm.run_end(pc), want[pc as usize], "run end from pc {}", pc);
+            let span = dm.get(pc).unwrap().span as u32;
+            prop_assert!(pc + span <= want[pc as usize], "span from pc {} leaves its run", pc);
+        }
         // Out-of-range pcs degrade to a single-fetch extent.
-        prop_assert_eq!(dm.block_end(n), n + 1);
+        prop_assert_eq!(dm.run_end(n), n + 1);
+
+        let mut code = code;
+        code.push(Instr::new(Op::Atom {
+            d: sassi_isa::Gpr::new(2),
+            op: sassi_isa::AtomOp::Add,
+            addr: sassi_isa::MemAddr::global(sassi_isa::Gpr::new(4), 0),
+            v: sassi_isa::Gpr::new(2),
+            v2: None,
+            wide: false,
+        }));
+        let module = raw_module(code);
+        let dm = module.decoded();
+        prop_assert!(dm.has_consuming_global_atomics());
+        for pc in 0..=n + 1 {
+            prop_assert_eq!(dm.run_end(pc), pc + 1, "one-µop run from pc {}", pc);
+            prop_assert!(dm.get(pc).map_or(0, |di| di.span) <= 1, "span from pc {}", pc);
+        }
     }
 }
 
@@ -248,7 +277,7 @@ proptest! {
 
     /// Divergence + barrier + memory kernels: the decoded run loop is
     /// cycle-exact against the reference interpreter, with and without
-    /// every-site instrumentation (traps inside blocks).
+    /// every-site instrumentation (traps inside runs).
     #[test]
     fn decoded_runs_match_reference(
         n_then in 0u32..4,
@@ -290,8 +319,8 @@ proptest! {
 }
 
 /// A trap-dense straight-line kernel: with every-site instrumentation
-/// the whole body is one block full of `Trap` µops — the case that
-/// motivates keeping traps out of the boundary set.
+/// the whole body is one run full of `Trap` µops — the case that
+/// motivates keeping traps from ending runs.
 #[test]
 fn traps_do_not_fragment_blocks() {
     let mut b = KernelBuilder::kernel("k");
@@ -314,11 +343,11 @@ fn traps_do_not_fragment_blocks() {
     let module = Module::link(std::slice::from_ref(&inst)).unwrap();
     let dm = module.decoded();
     assert!(dm.trap_count() > 0);
-    // Trap sites sit strictly inside blocks: none ends a block.
+    // Trap sites sit strictly inside runs: none ends a run.
     for site in dm.sites() {
         assert!(
-            dm.block_end(site.pc) > site.pc + 1,
-            "trap at {} must not end its block",
+            dm.run_end(site.pc) > site.pc + 1,
+            "trap at {} must not end its run",
             site.pc
         );
     }
@@ -328,7 +357,7 @@ fn traps_do_not_fragment_blocks() {
 // ---------------------------------------------------------------------
 // Part 3: the timing contract.
 
-/// One warp runs a single straight-line block: a global load, then an
+/// One warp runs a single straight-line run: a global load, then an
 /// ALU µop reading either the load's destination or an unrelated
 /// register, then a store of the ALU result. A run does not wait on
 /// dependences inside it, so both variants take the same cycles — one
@@ -374,7 +403,7 @@ fn runs_do_not_wait_on_intra_block_dependences() {
         let mut cycles = Vec::new();
         for (alu_src, want) in [(r(4), 42), (r(6), 1)] {
             let module = kernel(alu_src);
-            assert_eq!(module.decoded().blocks().len(), 1);
+            assert_eq!(module.decoded().run_end(0), 6);
             let mut dev = Device::with_defaults();
             dev.exec_mode = mode;
             let buf = dev.mem.alloc(8, 8).unwrap();
@@ -581,9 +610,10 @@ fn sm_side_uop_latencies_in_cycles() {
 /// one more cycle: `k + 28`. A lone spill or fill is a span of one.
 ///
 /// In a module with a consuming global atomic (unreached here) every
-/// run is one µop, so the span runs one µop per run, each issued at
-/// the last one's ready time: µop `i` at `28 i`, the `BRA` at `28 k`
-/// and the `EXIT` at its ready time, `28 k + 2`, for `28 k + 3`.
+/// run is one µop and decode marks every span 1, so the spills run one
+/// per run, each issued at the last one's ready time: µop `i` at
+/// `28 i`, the `BRA` at `28 k` and the `EXIT` at its ready time,
+/// `28 k + 2`, for `28 k + 3`.
 #[test]
 fn local_span_cycles_and_ready_time() {
     use sassi_isa::{AtomOp, Gpr, MemAddr, MemWidth};
@@ -652,7 +682,8 @@ fn local_span_cycles_and_ready_time() {
         }
         let module = raw_module(ops.into_iter().map(Instr::new).collect());
         let dm = module.decoded();
-        assert_eq!(dm.get(0).unwrap().span as u32, k, "{name}");
+        let span = if one_uop_runs { 1 } else { k };
+        assert_eq!(dm.get(0).unwrap().span as u32, span, "{name}");
         assert_eq!(dm.has_consuming_global_atomics(), one_uop_runs, "{name}");
         let cycles = if one_uop_runs { 28 * k + 3 } else { k + 28 };
         for mode in [ExecMode::Decoded, ExecMode::Reference] {

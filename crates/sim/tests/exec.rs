@@ -703,6 +703,70 @@ fn infinite_loop_hits_watchdog() {
     assert!(matches!(res.outcome, KernelOutcome::Hang));
 }
 
+/// A `CAL` to its own pc recurses without end. The call stack is
+/// finite, so the launch faults at the `CAL` long before the watchdog,
+/// with the same fault, cycles and memory in both interpreters.
+#[test]
+fn runaway_recursion_overflows_the_call_stack() {
+    use sassi_isa::CBankAddr;
+    use sassi_sim::ExecMode;
+    let body = vec![
+        Instr::new(Op::Mov {
+            d: r(4),
+            a: Src::Const(CBankAddr::new(0, 0x140)),
+        }),
+        Instr::new(Op::Mov {
+            d: r(5),
+            a: Src::Const(CBankAddr::new(0, 0x144)),
+        }),
+        Instr::new(Op::Mov32I { d: r(2), imm: 7 }),
+        Instr::new(Op::St {
+            v: r(2),
+            width: MemWidth::B32,
+            addr: MemAddr::global(r(4), 0),
+            spill: false,
+        }),
+        Instr::new(Op::Jcal {
+            target: Label::Pc(4),
+        }),
+        Instr::new(Op::Exit),
+    ];
+    let f = Function::new("rec", body, FunctionMeta::default());
+    let module = Module::link(&[f]).unwrap();
+    let mut runs = Vec::new();
+    for mode in [ExecMode::Decoded, ExecMode::Reference] {
+        let mut dev = Device::with_defaults();
+        dev.exec_mode = mode;
+        let buf = dev.mem.alloc(16, 8).unwrap();
+        let res = dev
+            .launch(
+                &module,
+                "rec",
+                LaunchDims::linear(1, 64),
+                &[buf],
+                &mut NoHandlers,
+                0,
+                100_000,
+            )
+            .unwrap();
+        assert!(
+            matches!(
+                res.outcome,
+                KernelOutcome::Fault(sassi_sim::FaultInfo {
+                    kind: FaultKind::CallStackOverflow,
+                    pc: 4,
+                    ..
+                })
+            ),
+            "{mode:?}: {:?}",
+            res.outcome
+        );
+        assert_eq!(dev.mem.read_u32(buf).unwrap(), 7, "{mode:?}");
+        runs.push((res, dev.mem.read_bytes(buf, 16).unwrap().to_vec()));
+    }
+    assert_eq!(runs[0], runs[1], "Decoded vs Reference");
+}
+
 #[test]
 fn special_registers_report_geometry() {
     // R20 = ctaid.x * 1000 + ntid.x — checked across a 3-block launch.

@@ -668,6 +668,9 @@ proptest! {
 /// The trampoline-shaped generator reaches what its test is for:
 /// multi-µop spans, launches that complete and that fault, loops back
 /// into the middle of a span, and modules whose runs are one µop long.
+/// Decode marks every span of a one-µop-run module 1, so multi-µop
+/// spans are counted among the other modules: at least three in four
+/// of them hold one.
 #[test]
 fn trampoline_shaped_blocks_cover_spans() {
     let (mut ok, mut fault, mut spans, mut mid_span, mut one_uop) = (0, 0, 0, 0, 0);
@@ -678,7 +681,7 @@ fn trampoline_shaped_blocks_cover_spans() {
         let module = kernel(&trampoline_block(pieces), &[1, 2, 3, 4, 5, 6, 7, 8], shape);
         let dm = module.decoded();
         let span = |pc: u32| dm.get(pc).map_or(0, |di| di.span);
-        spans += (0..dm.len() as u32).any(|pc| span(pc) >= 2) as u32;
+        spans += (!shape.one_uop_runs && (0..dm.len() as u32).any(|pc| span(pc) >= 2)) as u32;
         let target = (0..dm.len() as u32).find_map(|pc| match dm.get(pc).unwrap().uop {
             sassi_sim::UOp::Bra { target } => Some(target),
             _ => None,
@@ -692,9 +695,10 @@ fn trampoline_shaped_blocks_cover_spans() {
             fault += 1;
         }
     }
+    let multi = 64 - one_uop;
     assert!(
-        spans > 48 && ok > 8 && fault > 8 && mid_span > 2 && one_uop > 16,
-        "{spans} with spans, completed {ok}, faulted {fault}, \
+        4 * spans > 3 * multi && ok > 8 && fault > 8 && mid_span > 2 && one_uop > 16,
+        "{spans} of {multi} with longer runs with spans, completed {ok}, faulted {fault}, \
          {mid_span} looping into a span, {one_uop} with one-µop runs"
     );
 }

@@ -185,44 +185,42 @@ fn reports_render_expected_sections() {
     assert!(t3.contains("Harmonic mean") && t3.contains("Stub-handler ablation"));
 }
 
+/// The branch study (instrumentation-based) and the simulator's own
+/// hardware counters measure the same events independently, on every
+/// Table 1 row whose kernels have no consuming global atomic. In a
+/// kernel with one (Parboil bfs), the instrumented run's different warp
+/// interleaving changes which branches execute, so its counts differ.
 #[test]
 fn handler_counts_agree_with_simulator_statistics() {
-    // The branch study (instrumentation-based) and the simulator's own
-    // hardware counters measure the same events independently.
-    use sassi_workloads::execute;
-    let w = by_name("gaussian").unwrap();
-    let study = branch::run(w.as_ref());
-
-    let base = execute(w.as_ref(), None, None);
-    assert!(base.output.is_ok());
-    // Re-run to collect per-launch stats (execute doesn't expose them
-    // directly; use the totals instead).
-    let mut mb = sassi_rt::ModuleBuilder::new();
-    for k in w.kernels() {
-        mb.add_kernel(k);
+    let mut checked = 0;
+    for w in sassi_workloads::table1_set() {
+        let mut mb = sassi_rt::ModuleBuilder::new();
+        for k in w.kernels() {
+            mb.add_kernel(k);
+        }
+        let module = mb.build(None).unwrap();
+        if module.decoded().has_consuming_global_atomics() {
+            continue;
+        }
+        let study = branch::run(w.as_ref());
+        let mut rt = sassi_rt::Runtime::with_defaults();
+        w.execute(&mut rt, &module, &mut sassi_sim::NoHandlers)
+            .unwrap();
+        let sum = |f: fn(&sassi_sim::LaunchStats) -> u64| -> u64 {
+            rt.records().iter().map(|r| f(&r.result.stats)).sum()
+        };
+        let name = w.name();
+        assert_eq!(
+            sum(|s| s.cond_branches),
+            study.row.dynamic_total,
+            "{name}: conditional-branch counts agree"
+        );
+        assert_eq!(
+            sum(|s| s.divergent_branches),
+            study.row.dynamic_divergent,
+            "{name}: divergent-branch counts agree"
+        );
+        checked += 1;
     }
-    let module = mb.build(None).unwrap();
-    let mut rt = sassi_rt::Runtime::with_defaults();
-    let out = w
-        .execute(&mut rt, &module, &mut sassi_sim::NoHandlers)
-        .unwrap();
-    let _ = out;
-    let cond: u64 = rt
-        .records()
-        .iter()
-        .map(|r| r.result.stats.cond_branches)
-        .sum();
-    let div: u64 = rt
-        .records()
-        .iter()
-        .map(|r| r.result.stats.divergent_branches)
-        .sum();
-    assert_eq!(
-        cond, study.row.dynamic_total,
-        "conditional-branch counts agree"
-    );
-    assert_eq!(
-        div, study.row.dynamic_divergent,
-        "divergent-branch counts agree"
-    );
+    assert!(checked >= 9, "only {checked} Table 1 rows checked");
 }
